@@ -147,9 +147,9 @@ struct FusePhase {
 };
 
 /// Process CPU seconds: immune to preemption by other tenants on a shared
-/// host, which dominates the wall-clock noise of a ~1% comparison.  The
-/// worker pool sleeps on a condition variable between parallel_for calls,
-/// so idle helpers do not inflate this.
+/// host, which dominates the wall-clock noise of a ~1% comparison.  Idle
+/// pool helpers spin for at most 50 us after each parallel_for before they
+/// park, so both legs carry the same small spin overhead.
 double cpu_seconds() {
   timespec ts;
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);

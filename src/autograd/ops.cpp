@@ -25,7 +25,9 @@
 // Ops in the bit-exact class produce identical bytes at every tier;
 // transcendentals and double-accumulated reductions stay pinned to the
 // scalar reference (see docs/ops.md), so the fuse/replay/pool 0.0-diff
-// gates hold under any FASTCHG_SIMD setting.
+// gates hold under any FASTCHG_SIMD setting.  Row-independent loops split
+// their rows across the worker pool (docs/ops.md, "Threading"), which keeps
+// every result bit-identical at any FASTCHG_NUM_THREADS.
 
 namespace fastchg::ag::ops {
 
@@ -94,68 +96,13 @@ BPat classify(const Tensor& a, const Tensor& b, Shape& out_shape) {
                                                 << shape_str(b.shape()));
 }
 
-/// The arithmetic of every binary op, shared by the eager call and the
-/// replay closure (identical instruction streams => bit-identical results).
+/// The arithmetic of every binary op (add/sub/mul/div), shared by the eager
+/// call and the replay closure (identical instruction streams => bit-
+/// identical results).  Every pattern is one threaded ops::eltwise call;
 /// rows/cols are only read for the 2-D row/col broadcast patterns.
-template <class F>
-void binary_loop(BPat pat, index_t rows, index_t cols, index_t n,
-                 const float* pa, const float* pb, float* po, F f) {
-  switch (pat) {
-    case BPat::kSame:
-      for (index_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
-      break;
-    case BPat::kAScalar: {
-      const float av = pa[0];
-      for (index_t i = 0; i < n; ++i) po[i] = f(av, pb[i]);
-      break;
-    }
-    case BPat::kBScalar: {
-      const float bv = pb[0];
-      for (index_t i = 0; i < n; ++i) po[i] = f(pa[i], bv);
-      break;
-    }
-    case BPat::kARow:
-      for (index_t r = 0; r < rows; ++r)
-        for (index_t c = 0; c < cols; ++c)
-          po[r * cols + c] = f(pa[c], pb[r * cols + c]);
-      break;
-    case BPat::kBRow:
-      for (index_t r = 0; r < rows; ++r)
-        for (index_t c = 0; c < cols; ++c)
-          po[r * cols + c] = f(pa[r * cols + c], pb[c]);
-      break;
-    case BPat::kACol:
-      for (index_t r = 0; r < rows; ++r) {
-        const float av = pa[r];
-        for (index_t c = 0; c < cols; ++c)
-          po[r * cols + c] = f(av, pb[r * cols + c]);
-      }
-      break;
-    case BPat::kBCol:
-      for (index_t r = 0; r < rows; ++r) {
-        const float bv = pb[r];
-        for (index_t c = 0; c < cols; ++c)
-          po[r * cols + c] = f(pa[r * cols + c], bv);
-      }
-      break;
-  }
-}
-
-/// Dispatch-routing wrapper around binary_loop: the four arithmetic EOps
-/// run through ops::eltwise (vectorized under the AVX2 tier, per-element
-/// bit-exact at every tier); anything else falls back to the reference
-/// loop.  Eager call and replay closure both come through here, so the two
-/// paths keep identical instruction streams per tier.
-template <class F>
-void binary_loop_d(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
-                   index_t n, const float* pa, const float* pb, float* po,
-                   F f) {
+void binary_loop(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
+                 index_t n, const float* pa, const float* pb, float* po) {
   using fuse::EOp;
-  if (eop != EOp::kAdd && eop != EOp::kSub && eop != EOp::kMul &&
-      eop != EOp::kDiv) {
-    binary_loop(pat, rows, cols, n, pa, pb, po, f);
-    return;
-  }
   namespace ew = sops::eltwise;
   switch (pat) {
     case BPat::kSame:
@@ -183,57 +130,18 @@ void binary_loop_d(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
         default: ew::div_s(n, pa, bv, po); return;
       }
     }
-    case BPat::kARow:
-      for (index_t r = 0; r < rows; ++r) {
-        const float* q = pb + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add(cols, pa, q, d); break;
-          case EOp::kSub: ew::sub(cols, pa, q, d); break;
-          case EOp::kMul: ew::mul(cols, pa, q, d); break;
-          default: ew::div(cols, pa, q, d); break;
-        }
-      }
-      return;
-    case BPat::kBRow:
-      for (index_t r = 0; r < rows; ++r) {
-        const float* q = pa + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add(cols, q, pb, d); break;
-          case EOp::kSub: ew::sub(cols, q, pb, d); break;
-          case EOp::kMul: ew::mul(cols, q, pb, d); break;
-          default: ew::div(cols, q, pb, d); break;
-        }
-      }
-      return;
-    case BPat::kACol:
-      for (index_t r = 0; r < rows; ++r) {
-        const float av = pa[r];
-        const float* q = pb + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add_s(cols, q, av, d); break;
-          case EOp::kSub: ew::rsub_s(cols, q, av, d); break;
-          case EOp::kMul: ew::mul_s(cols, q, av, d); break;
-          default: ew::rdiv_s(cols, q, av, d); break;
-        }
-      }
-      return;
-    case BPat::kBCol:
-      for (index_t r = 0; r < rows; ++r) {
-        const float bv = pb[r];
-        const float* q = pa + r * cols;
-        float* d = po + r * cols;
-        switch (eop) {
-          case EOp::kAdd: ew::add_s(cols, q, bv, d); break;
-          case EOp::kSub: ew::sub_s(cols, q, bv, d); break;
-          case EOp::kMul: ew::mul_s(cols, q, bv, d); break;
-          default: ew::div_s(cols, q, bv, d); break;
-        }
-      }
-      return;
+    default:
+      break;
   }
+  const ew::BinOp op = eop == EOp::kAdd   ? ew::BinOp::kAdd
+                       : eop == EOp::kSub ? ew::BinOp::kSub
+                       : eop == EOp::kMul ? ew::BinOp::kMul
+                                          : ew::BinOp::kDiv;
+  const ew::Bcast bp = pat == BPat::kARow   ? ew::Bcast::kARow
+                       : pat == BPat::kBRow ? ew::Bcast::kBRow
+                       : pat == BPat::kACol ? ew::Bcast::kACol
+                                            : ew::Bcast::kBCol;
+  ew::bcast(op, bp, rows, cols, pa, pb, po);
 }
 
 /// Addressing modes a broadcast pattern imposes on the two operands (the
@@ -271,9 +179,8 @@ void fuse_addrs(BPat pat, index_t cols, fuse::Addr& aa, fuse::Addr& ab,
   }
 }
 
-template <class F>
 Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
-                     const Tensor& b, F f) {
+                     const Tensor& b) {
   perf::count_kernel(name);
   Shape out_shape;
   const BPat pat = classify(a, b, out_shape);
@@ -281,7 +188,7 @@ Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
   const index_t rows = out_shape.size() == 2 ? out_shape[0] : 0;
   const index_t cols = out_shape.size() == 2 ? out_shape[1] : 0;
   const index_t n = out.numel();
-  binary_loop_d(eop, pat, rows, cols, n, a.data(), b.data(), out.data(), f);
+  binary_loop(eop, pat, rows, cols, n, a.data(), b.data(), out.data());
   if (auto* rec = replay::Recorder::active()) {
     const int sa = rec->note_input(a);
     const int sb = rec->note_input(b);
@@ -291,17 +198,22 @@ Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
     fuse_addrs(pat, cols, aa, ab, dcols);
     rec->push(
         name, /*counted=*/true, {sa, sb}, so,
-        [eop, pat, rows, cols, n, sa, sb, so, f](float* const* S) {
-          binary_loop_d(eop, pat, rows, cols, n, S[sa], S[sb], S[so], f);
+        [eop, pat, rows, cols, n, sa, sb, so](float* const* S) {
+          binary_loop(eop, pat, rows, cols, n, S[sa], S[sb], S[so]);
         },
         fuse::ew_binary(eop, aa, ab, n, dcols));
   }
   return out;
 }
 
+/// Scalar libm loop for the transcendentals, split elementwise across the
+/// pool (each element is computed once, by the same expression).  A libm
+/// call weighs about as much as 8 floats of streaming arithmetic.
 template <class F>
 void unary_loop(index_t n, const float* px, float* po, F f) {
-  for (index_t i = 0; i < n; ++i) po[i] = f(px[i]);
+  parallel_rows(n, 8, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) po[i] = f(px[i]);
+  });
 }
 
 /// Dispatch-routing wrapper around unary_loop.  Pure arithmetic EOps go
@@ -360,8 +272,7 @@ Var ones_like(const Var& x) { return constant(Tensor::ones(x.shape())); }
 // ---------------------------------------------------------------------------
 
 Var add(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("add", fuse::EOp::kAdd, a.value(), b.value(),
-                             [](float x, float y) { return x + y; });
+  Tensor out = binary_kernel("add", fuse::EOp::kAdd, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("add", std::move(out), {a, b},
                       [sa, sb](const Var& g) -> std::vector<Var> {
@@ -370,8 +281,7 @@ Var add(const Var& a, const Var& b) {
 }
 
 Var sub(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("sub", fuse::EOp::kSub, a.value(), b.value(),
-                             [](float x, float y) { return x - y; });
+  Tensor out = binary_kernel("sub", fuse::EOp::kSub, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("sub", std::move(out), {a, b},
                       [sa, sb](const Var& g) -> std::vector<Var> {
@@ -380,8 +290,7 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var mul(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("mul", fuse::EOp::kMul, a.value(), b.value(),
-                             [](float x, float y) { return x * y; });
+  Tensor out = binary_kernel("mul", fuse::EOp::kMul, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("mul", std::move(out), {a, b},
                       [a, b, sa, sb](const Var& g) -> std::vector<Var> {
@@ -390,8 +299,7 @@ Var mul(const Var& a, const Var& b) {
 }
 
 Var div(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("div", fuse::EOp::kDiv, a.value(), b.value(),
-                             [](float x, float y) { return x / y; });
+  Tensor out = binary_kernel("div", fuse::EOp::kDiv, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   Var result = make_op_node(
       "div", std::move(out), {a, b},
@@ -636,6 +544,28 @@ Tensor matmul_kernel(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+Tensor matmul_tn_kernel(const Tensor& a, const Tensor& b) {
+  perf::count_kernel("matmul_tn");
+  FASTCHG_CHECK(a.dim() == 2 && b.dim() == 2,
+                "matmul_tn: need 2-D, got " << shape_str(a.shape()) << "^T @ "
+                                            << shape_str(b.shape()));
+  const index_t m = a.size(0), k = a.size(1), n = b.size(1);
+  FASTCHG_CHECK(b.size(0) == m, "matmul_tn: inner dims " << m << " vs "
+                                                         << b.size(0));
+  Tensor out = Tensor::empty({k, n});
+  sops::gemm::matmul_tn(m, k, n, a.data(), b.data(), out.data());
+  if (auto* rec = replay::Recorder::active()) {
+    const int sa = rec->note_input(a);
+    const int sb = rec->note_input(b);
+    const int so = rec->note_output(out);
+    rec->push("matmul_tn", /*counted=*/true, {sa, sb}, so,
+              [m, k, n, sa, sb, so](float* const* S) {
+                sops::gemm::matmul_tn(m, k, n, S[sa], S[sb], S[so]);
+              });
+  }
+  return out;
+}
+
 void transpose_loop(index_t m, index_t n, const float* px, float* po) {
   for (index_t i = 0; i < m; ++i)
     for (index_t j = 0; j < n; ++j) po[j * m + i] = px[i * n + j];
@@ -663,8 +593,16 @@ Var matmul(const Var& a, const Var& b) {
   Tensor out = matmul_kernel(a.value(), b.value());
   return make_op_node("matmul", std::move(out), {a, b},
                       [a, b](const Var& g) -> std::vector<Var> {
-                        return {matmul(g, transpose2d(b)),
-                                matmul(transpose2d(a), g)};
+                        return {matmul(g, transpose2d(b)), matmul_tn(a, g)};
+                      });
+}
+
+Var matmul_tn(const Var& a, const Var& b) {
+  Tensor out = matmul_tn_kernel(a.value(), b.value());
+  return make_op_node("matmul_tn", std::move(out), {a, b},
+                      [a, b](const Var& g) -> std::vector<Var> {
+                        // d(a^T b)/da = b g^T, d(a^T b)/db = a g.
+                        return {matmul(b, transpose2d(g)), matmul(a, g)};
                       });
 }
 
@@ -768,20 +706,20 @@ enum class BMode { kFill, kRow, kCol };
 
 void broadcast_loop(BMode mode, index_t rows, index_t cols, index_t n,
                     const float* px, float* po) {
-  switch (mode) {
-    case BMode::kFill:
-      std::fill_n(po, n, px[0]);
-      break;
-    case BMode::kRow:
-      for (index_t r = 0; r < rows; ++r)
+  if (mode == BMode::kFill) {
+    std::fill_n(po, n, px[0]);
+    return;
+  }
+  parallel_rows(rows, cols, [=](index_t lo, index_t hi) {
+    for (index_t r = lo; r < hi; ++r) {
+      if (mode == BMode::kRow) {
         std::memcpy(po + r * cols, px,
                     static_cast<std::size_t>(cols) * sizeof(float));
-      break;
-    case BMode::kCol:
-      for (index_t r = 0; r < rows; ++r)
+      } else {
         std::fill_n(po + r * cols, cols, px[r]);
-      break;
-  }
+      }
+    }
+  });
 }
 }  // namespace
 

@@ -57,6 +57,9 @@ Var clamp(const Var& x, float lo, float hi);
 // -- linear algebra ------------------------------------------------------------
 /// [m,k] @ [k,n] -> [m,n].
 Var matmul(const Var& a, const Var& b);
+/// a^T b for a [m, k], b [m, n] -> [k, n], reading a in place (no
+/// transpose kernel); bit-identical to matmul(transpose2d(a), b).
+Var matmul_tn(const Var& a, const Var& b);
 Var transpose2d(const Var& x);
 
 // -- reductions ---------------------------------------------------------------

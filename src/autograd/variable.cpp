@@ -158,7 +158,15 @@ std::unordered_map<Node*, Var> propagate(const Var& root, Var seed,
     if (git == grads.end()) continue;  // unreachable from root's grad flow
     if (!n->backward_fn) continue;     // leaf: accumulated grad stays in map
     Var gout = git->second;
-    std::vector<Var> gins = n->backward_fn(gout);
+    std::vector<Var> gins;
+    if (create_graph) {
+      gins = n->backward_fn(gout);
+    } else {
+      // Plain backward keeps no graph of gradients: the backward ops build
+      // no nodes and drop their inputs as soon as they return.
+      NoGradGuard no_grad;
+      gins = n->backward_fn(gout);
+    }
     FASTCHG_CHECK(gins.size() == n->inputs.size(),
                   "op " << n->op << ": backward returned " << gins.size()
                         << " grads for " << n->inputs.size() << " inputs");
@@ -170,7 +178,8 @@ std::unordered_map<Node*, Var> propagate(const Var& root, Var seed,
                     "op " << n->op << ": grad shape "
                           << shape_str(gins[i].shape()) << " vs input shape "
                           << shape_str(in->value.shape()));
-      Var g = create_graph ? gins[i] : gins[i].detach();
+      Var g = create_graph || !gins[i].requires_grad() ? gins[i]
+                                                       : gins[i].detach();
       auto [slot, inserted] = grads.try_emplace(in, g);
       if (!inserted) slot->second = ops::add(slot->second, g);
       if (inserted && leaves != nullptr && !in->backward_fn) {

@@ -308,11 +308,11 @@ ModelOutput CHGNet::forward(const data::Batch& b, ForwardMode mode) const {
   return outp;
 }
 
-void CHGNet::set_atom_ref(std::vector<float> e0) {
+void CHGNet::set_atom_ref(const std::vector<float>& e0) {
   FASTCHG_CHECK(static_cast<index_t>(e0.size()) == cfg_.num_species + 1,
                 "set_atom_ref: " << e0.size() << " entries for "
                                  << cfg_.num_species << " species");
-  atom_ref_ = Tensor::from_vector(std::move(e0), {cfg_.num_species + 1, 1});
+  atom_ref_ = Tensor::from_vector(e0, {cfg_.num_species + 1, 1});
 }
 
 std::unique_ptr<CHGNet> make_fastchgnet(std::uint64_t seed) {

@@ -53,9 +53,7 @@ class CHGNet : public nn::Module {
   /// model; typically fitted by train::fit_atom_ref).  `e0` is indexed by
   /// atomic number and must have num_species + 1 entries.  The reference is
   /// a fixed additive term: it shifts energies but not forces or stress.
-  /// Takes the vector by value and adopts its buffer as tensor storage
-  /// (callers passing an rvalue pay zero copies).
-  void set_atom_ref(std::vector<float> e0);
+  void set_atom_ref(const std::vector<float>& e0);
   bool has_atom_ref() const { return atom_ref_.defined(); }
   /// The installed reference-energy table (undefined Tensor when absent);
   /// exposed so full-state checkpoints can persist it.

@@ -1,7 +1,6 @@
 #include "core/tensor.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <sstream>
@@ -33,16 +32,11 @@ std::string shape_str(const Shape& shape) {
 
 bool same_shape(const Shape& a, const Shape& b) { return a == b; }
 
-// Tracked storage block.  Two backing modes:
-//  * allocator-backed: the data block comes from `alloc` (pool or system)
-//    and is returned to the same allocator on destruction -- this is how
-//    graph teardown feeds the pool's free lists;
-//  * adopted-vector: from_vector(&&) moves a std::vector in wholesale and
-//    uses its buffer directly (alloc == nullptr), skipping both the copy
-//    and the allocation.
-// Either way the perf tracker records logical tensor bytes, so
-// bytes_live/bytes_peak are identical whichever allocator (or adoption
-// path) backed the tensor.
+// Tracked storage block.  The data block comes from `alloc` (pool or
+// system) and is returned to the same allocator on destruction -- this is
+// how graph teardown feeds the pool's free lists.  The perf tracker records
+// logical tensor bytes, so bytes_live/bytes_peak are identical whichever
+// allocator backed the tensor.
 struct Tensor::Storage {
   Storage(index_t n, const alloc::AllocatorPtr& a)
       : alloc(a),
@@ -50,15 +44,9 @@ struct Tensor::Storage {
         n(n) {
     perf::track_alloc(tensor_bytes(n));
   }
-  explicit Storage(std::vector<float>&& v)
-      : adopted(std::move(v)),
-        ptr(adopted.data()),
-        n(static_cast<index_t>(adopted.size())) {
-    perf::track_alloc(tensor_bytes(n));
-  }
   ~Storage() {
     perf::track_free(tensor_bytes(n));
-    if (alloc) alloc->deallocate(ptr, payload_bytes(n));
+    alloc->deallocate(ptr, payload_bytes(n));
   }
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
@@ -67,8 +55,7 @@ struct Tensor::Storage {
     return static_cast<std::size_t>(n) * sizeof(float);
   }
 
-  alloc::AllocatorPtr alloc;   // null in adopted-vector mode
-  std::vector<float> adopted;  // owns the buffer in adopted-vector mode
+  alloc::AllocatorPtr alloc;
   float* ptr;
   index_t n;
 };
@@ -104,29 +91,6 @@ Tensor Tensor::from_vector(const std::vector<float>& v, Shape shape) {
                 "from_vector: " << v.size() << " values for shape "
                                 << shape_str(t.shape_));
   std::copy(v.begin(), v.end(), t.data());
-  return t;
-}
-
-Tensor Tensor::from_vector(std::vector<float>&& v, Shape shape) {
-  const index_t n = numel_of(shape);
-  FASTCHG_CHECK(static_cast<index_t>(v.size()) == n,
-                "from_vector: " << v.size() << " values for shape "
-                                << shape_str(shape));
-  // Empty shapes keep the 1-float minimum storage empty() guarantees.
-  if (v.empty()) return empty(std::move(shape));
-  // Move-adoption uses the vector's buffer as-is, which a stock malloc only
-  // aligns to 16 bytes.  When it misses the arena contract (kArenaAlign),
-  // fall back to the copying overload so every tensor payload stays
-  // 64-byte-aligned for the SIMD op library.
-  if (reinterpret_cast<std::uintptr_t>(v.data()) % alloc::kArenaAlign != 0) {
-    return from_vector(v, std::move(shape));
-  }
-  Tensor t;
-  t.numel_ = n;
-  t.shape_ = std::move(shape);
-  alloc::AllocatorPtr a = alloc::current_allocator();
-  t.storage_ = std::allocate_shared<Storage>(alloc::StlAdapter<Storage>(a),
-                                             std::move(v));
   return t;
 }
 

@@ -49,11 +49,8 @@ class Tensor {
   static Tensor ones(Shape shape) { return full(std::move(shape), 1.0f); }
   /// 0-d style scalar represented as shape {1}.
   static Tensor scalar(float value) { return full({1}, value); }
+  /// Copies `v` into a fresh allocator-backed tensor.
   static Tensor from_vector(const std::vector<float>& v, Shape shape);
-  /// Zero-copy: adopts the vector's buffer as tensor storage (no element
-  /// copy, no allocator round-trip).  The data/batch collate paths stage
-  /// rows into a std::vector and hand the buffer over wholesale.
-  static Tensor from_vector(std::vector<float>&& v, Shape shape);
 
   bool defined() const { return storage_ != nullptr; }
   const Shape& shape() const { return shape_; }
@@ -85,7 +82,7 @@ class Tensor {
   }
 
   /// Allocator that issued this tensor's data block, or nullptr for an
-  /// undefined tensor / a buffer adopted from a std::vector.  Test hook for
+  /// undefined tensor.  Test hook for
   /// pool-isolation assertions (e.g. every replica tensor in
   /// DataParallelTrainer must come from its own device pool).
   const alloc::Allocator* source_allocator() const;

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/parallel_for.hpp"
+
 namespace fastchg::ops::basis {
 
 namespace scalar {
@@ -39,22 +41,24 @@ void fourier(index_t g, index_t order, float c0, float cinv, const float* t,
 
 }  // namespace scalar
 
+// Each edge/angle row is computed on its own, so rows split across the
+// pool bit-identically; a sin/cos weighs about 8 floats of arithmetic.
+
 void srbf(index_t e, index_t nb, float rc, float c, int p, EnvFn env,
           const float* r, const float* freq, float* o) {
-  if (active_tier() == Tier::kAvx2) {
-    avx2::srbf(e, nb, rc, c, p, env, r, freq, o);
-    return;
-  }
-  scalar::srbf(e, nb, rc, c, p, env, r, freq, o);
+  const auto k = active_tier() == Tier::kAvx2 ? avx2::srbf : scalar::srbf;
+  parallel_rows(e, 8 * nb, [=](index_t lo, index_t hi) {
+    k(hi - lo, nb, rc, c, p, env, r + lo, freq, o + lo * nb);
+  });
 }
 
 void fourier(index_t g, index_t order, float c0, float cinv, const float* t,
              float* o) {
-  if (active_tier() == Tier::kAvx2) {
-    avx2::fourier(g, order, c0, cinv, t, o);
-    return;
-  }
-  scalar::fourier(g, order, c0, cinv, t, o);
+  const auto k = active_tier() == Tier::kAvx2 ? avx2::fourier : scalar::fourier;
+  const index_t nb = 2 * order + 1;
+  parallel_rows(g, 8 * nb, [=](index_t lo, index_t hi) {
+    k(hi - lo, order, c0, cinv, t + lo, o + lo * nb);
+  });
 }
 
 }  // namespace fastchg::ops::basis

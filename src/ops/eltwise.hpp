@@ -13,7 +13,9 @@
 // The `scalar::` inline loops are the reference kernels -- byte-for-byte
 // the arithmetic the seed wrote in autograd/ops.cpp -- and double as the
 // fallback tier.  The dispatching wrappers (fastchg::ops::eltwise) read
-// ops::active_tier() per call.
+// ops::active_tier() per call and split their range across the worker pool
+// (core/parallel_for.hpp); every element is computed by exactly one task
+// with the same expression, so results do not depend on the thread count.
 #pragma once
 
 #include <cmath>
@@ -25,6 +27,15 @@
 namespace fastchg::ops::eltwise {
 
 using index_t = std::int64_t;
+
+/// Arithmetic of the broadcast binaries (bcast below).
+enum class BinOp : int { kAdd, kSub, kMul, kDiv };
+
+/// Which operand broadcasts over a [rows, cols] output, and along which
+/// axis:
+///   kARow  o[r,c] = a[c] op b[r,c]      kBRow  o[r,c] = a[r,c] op b[c]
+///   kACol  o[r,c] = a[r] op b[r,c]      kBCol  o[r,c] = a[r,c] op b[r]
+enum class Bcast : int { kARow, kBRow, kACol, kBCol };
 
 namespace scalar {
 
@@ -101,6 +112,10 @@ inline void axpy(index_t n, float s, const float* a, float* o) {
 inline void scale(index_t n, float s, float* o) {
   for (index_t i = 0; i < n; ++i) o[i] *= s;
 }
+/// Row/column broadcast binary over `rows` rows: the per-row reference
+/// (one add/sub/mul/div or *_s loop per row).
+void bcast(BinOp op, Bcast pat, index_t rows, index_t cols, const float* a,
+           const float* b, float* o);
 
 }  // namespace scalar
 
@@ -126,6 +141,10 @@ void clamp_mask(index_t n, const float* a, float lo, float hi, float* o);
 void acc(index_t n, const float* a, float* o);
 void axpy(index_t n, float s, const float* a, float* o);
 void scale(index_t n, float s, float* o);
+/// One whole-op kernel per tier for the row/column broadcast binaries,
+/// split over rows; per element bit-identical to the per-row reference.
+void bcast(BinOp op, Bcast pat, index_t rows, index_t cols, const float* a,
+           const float* b, float* o);
 
 // AVX2 variants (eltwise_avx2.cpp; forwarding stubs when the toolchain
 // cannot build AVX2).  Exposed so the differential tests can pin
@@ -152,6 +171,8 @@ void clamp_mask(index_t n, const float* a, float lo, float hi, float* o);
 void acc(index_t n, const float* a, float* o);
 void axpy(index_t n, float s, const float* a, float* o);
 void scale(index_t n, float s, float* o);
+void bcast(BinOp op, Bcast pat, index_t rows, index_t cols, const float* a,
+           const float* b, float* o);
 }  // namespace avx2
 
 }  // namespace fastchg::ops::eltwise

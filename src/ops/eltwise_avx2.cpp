@@ -187,6 +187,91 @@ void scale(index_t n, float s, float* o) {
   for (; i < n; ++i) o[i] *= s;
 }
 
+namespace {
+
+/// One broadcast pattern over whole rows: 8-wide body, scalar tail per row,
+/// each element the same single IEEE operation as the reference.
+template <Bcast P, class V, class S>
+void bcast_rows(index_t rows, index_t cols, const float* a, const float* b,
+                float* o, V vop, S sop) {
+  for (index_t r = 0; r < rows; ++r) {
+    // The full-size operand advances a row at a time; the small one is
+    // either the whole row vector or read per row as a scalar below.
+    const bool a_full = P == Bcast::kBRow || P == Bcast::kBCol;
+    const float* ar = a_full ? a + r * cols : a;
+    const float* br = a_full ? b : b + r * cols;
+    float* d = o + r * cols;
+    if constexpr (P == Bcast::kACol) {
+      const float av = a[r];
+      const __m256 va = _mm256_set1_ps(av);
+      index_t c = 0;
+      for (; c + kW <= cols; c += kW)
+        _mm256_storeu_ps(d + c, vop(va, _mm256_loadu_ps(br + c)));
+      for (; c < cols; ++c) d[c] = sop(av, br[c]);
+    } else if constexpr (P == Bcast::kBCol) {
+      const float bv = b[r];
+      const __m256 vb = _mm256_set1_ps(bv);
+      index_t c = 0;
+      for (; c + kW <= cols; c += kW)
+        _mm256_storeu_ps(d + c, vop(_mm256_loadu_ps(ar + c), vb));
+      for (; c < cols; ++c) d[c] = sop(ar[c], bv);
+    } else {
+      index_t c = 0;
+      for (; c + kW <= cols; c += kW)
+        _mm256_storeu_ps(
+            d + c, vop(_mm256_loadu_ps(ar + c), _mm256_loadu_ps(br + c)));
+      for (; c < cols; ++c) d[c] = sop(ar[c], br[c]);
+    }
+  }
+}
+
+template <class V, class S>
+void bcast_op(Bcast pat, index_t rows, index_t cols, const float* a,
+              const float* b, float* o, V vop, S sop) {
+  switch (pat) {
+    case Bcast::kARow:
+      bcast_rows<Bcast::kARow>(rows, cols, a, b, o, vop, sop);
+      return;
+    case Bcast::kBRow:
+      bcast_rows<Bcast::kBRow>(rows, cols, a, b, o, vop, sop);
+      return;
+    case Bcast::kACol:
+      bcast_rows<Bcast::kACol>(rows, cols, a, b, o, vop, sop);
+      return;
+    case Bcast::kBCol:
+      bcast_rows<Bcast::kBCol>(rows, cols, a, b, o, vop, sop);
+      return;
+  }
+}
+
+}  // namespace
+
+void bcast(BinOp op, Bcast pat, index_t rows, index_t cols, const float* a,
+           const float* b, float* o) {
+  switch (op) {
+    case BinOp::kAdd:
+      bcast_op(pat, rows, cols, a, b, o,
+               [](__m256 x, __m256 y) { return _mm256_add_ps(x, y); },
+               [](float x, float y) { return x + y; });
+      return;
+    case BinOp::kSub:
+      bcast_op(pat, rows, cols, a, b, o,
+               [](__m256 x, __m256 y) { return _mm256_sub_ps(x, y); },
+               [](float x, float y) { return x - y; });
+      return;
+    case BinOp::kMul:
+      bcast_op(pat, rows, cols, a, b, o,
+               [](__m256 x, __m256 y) { return _mm256_mul_ps(x, y); },
+               [](float x, float y) { return x * y; });
+      return;
+    case BinOp::kDiv:
+      bcast_op(pat, rows, cols, a, b, o,
+               [](__m256 x, __m256 y) { return _mm256_div_ps(x, y); },
+               [](float x, float y) { return x / y; });
+      return;
+  }
+}
+
 }  // namespace eltwise::avx2
 }  // namespace fastchg::ops
 
@@ -221,6 +306,10 @@ void clamp_mask(index_t n, const float* a, float lo, float hi, float* o) { scala
 void acc(index_t n, const float* a, float* o) { scalar::acc(n, a, o); }
 void axpy(index_t n, float s, const float* a, float* o) { scalar::axpy(n, s, a, o); }
 void scale(index_t n, float s, float* o) { scalar::scale(n, s, o); }
+void bcast(BinOp op, Bcast pat, index_t rows, index_t cols, const float* a,
+           const float* b, float* o) {
+  scalar::bcast(op, pat, rows, cols, a, b, o);
+}
 
 }  // namespace eltwise::avx2
 }  // namespace fastchg::ops

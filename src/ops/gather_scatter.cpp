@@ -3,6 +3,8 @@
 
 #include <cstring>
 
+#include "core/parallel_for.hpp"
+
 namespace fastchg::ops::gather_scatter {
 
 namespace scalar {
@@ -29,11 +31,12 @@ void scatter_add_rows(index_t k, index_t rows, index_t w, const index_t* idx,
 
 void gather_rows(index_t k, index_t w, const index_t* idx, const float* x,
                  float* o) {
-  if (active_tier() == Tier::kAvx2) {
-    avx2::gather_rows(k, w, idx, x, o);
-    return;
-  }
-  scalar::gather_rows(k, w, idx, x, o);
+  // Output rows are disjoint copies: split them across the pool.
+  const auto kern =
+      active_tier() == Tier::kAvx2 ? avx2::gather_rows : scalar::gather_rows;
+  parallel_rows(k, w, [=](index_t lo, index_t hi) {
+    kern(hi - lo, w, idx + lo, x, o + lo * w);
+  });
 }
 
 void scatter_add_rows(index_t k, index_t rows, index_t w, const index_t* idx,

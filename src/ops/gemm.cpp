@@ -15,7 +15,7 @@ namespace scalar {
 void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
             float* o) {
   std::memset(o, 0, static_cast<std::size_t>(m * n) * sizeof(float));
-  parallel_for(0, m, /*grain=*/16, [&](index_t lo, index_t hi) {
+  parallel_rows(m, k * n, [&](index_t lo, index_t hi) {
     for (index_t i = lo; i < hi; ++i) {
       float* orow = o + i * n;
       const float* arow = a + i * k;
@@ -28,14 +28,41 @@ void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
   });
 }
 
+void matmul_tn(index_t m, index_t k, index_t n, const float* a,
+               const float* b, float* o) {
+  std::memset(o, 0, static_cast<std::size_t>(k * n) * sizeof(float));
+  parallel_rows(k, m * n, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) {
+      float* orow = o + i * n;
+      for (index_t kk = 0; kk < m; ++kk) {
+        const float av = a[kk * k + i];
+        const float* brow = b + kk * n;
+        for (index_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      }
+    }
+  });
+}
+
 }  // namespace scalar
 
 namespace avx2 {
 
+namespace {
+/// row_grain rounded up to whole 2-row micro-kernel pairs.
+index_t pair_grain(index_t row_cost) { return (row_grain(row_cost) + 1) / 2 * 2; }
+}  // namespace
+
 void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
             float* o) {
-  parallel_for(0, m, /*grain=*/16, [&](index_t lo, index_t hi) {
+  parallel_for(0, m, pair_grain(k * n), [&](index_t lo, index_t hi) {
     matmul_rows(lo, hi, k, n, a, b, o);
+  });
+}
+
+void matmul_tn(index_t m, index_t k, index_t n, const float* a,
+               const float* b, float* o) {
+  parallel_for(0, k, pair_grain(m * n), [&](index_t lo, index_t hi) {
+    matmul_tn_rows(lo, hi, m, k, n, a, b, o);
   });
 }
 
@@ -48,6 +75,15 @@ void matmul(index_t m, index_t k, index_t n, const float* a, const float* b,
     return;
   }
   scalar::matmul(m, k, n, a, b, o);
+}
+
+void matmul_tn(index_t m, index_t k, index_t n, const float* a,
+               const float* b, float* o) {
+  if (active_tier() == Tier::kAvx2) {
+    avx2::matmul_tn(m, k, n, a, b, o);
+    return;
+  }
+  scalar::matmul_tn(m, k, n, a, b, o);
 }
 
 }  // namespace fastchg::ops::gemm

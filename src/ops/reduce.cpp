@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "core/parallel_for.hpp"
+
 namespace fastchg::ops::reduce {
 
 namespace scalar {
@@ -45,8 +47,11 @@ void sum_dim0(index_t rows, index_t cols, const float* x, float* o) {
 }
 
 void sum_dim1(index_t rows, index_t cols, const float* x, float* o) {
-  // Pinned for the same reason as sum_all.
-  scalar::sum_dim1(rows, cols, x, o);
+  // Pinned for the same reason as sum_all.  Each row is its own serial
+  // chain, so splitting rows across the pool keeps every sum bitwise.
+  parallel_rows(rows, cols, [=](index_t lo, index_t hi) {
+    scalar::sum_dim1(hi - lo, cols, x + lo * cols, o + lo);
+  });
 }
 
 }  // namespace fastchg::ops::reduce

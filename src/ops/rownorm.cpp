@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/parallel_for.hpp"
+
 namespace fastchg::ops::rownorm {
 
 namespace scalar {
@@ -64,23 +66,27 @@ void gated_act(index_t rows, index_t c, float eps, const float* x,
 
 }  // namespace scalar
 
+// Rows are independent (statistics never cross a row), so both kernels
+// split rows across the pool with bit-identical results.
+
 void layernorm(index_t rows, index_t cols, float eps, const float* x,
                const float* g, const float* b, float* o) {
-  if (active_tier() == Tier::kAvx2) {
-    avx2::layernorm(rows, cols, eps, x, g, b, o);
-    return;
-  }
-  scalar::layernorm(rows, cols, eps, x, g, b, o);
+  const auto k =
+      active_tier() == Tier::kAvx2 ? avx2::layernorm : scalar::layernorm;
+  parallel_rows(rows, cols, [=](index_t lo, index_t hi) {
+    k(hi - lo, cols, eps, x + lo * cols, g, b, o + lo * cols);
+  });
 }
 
 void gated_act(index_t rows, index_t c, float eps, const float* x,
                const float* gc, const float* bc, const float* gg,
                const float* bg, float* o) {
-  if (active_tier() == Tier::kAvx2) {
-    avx2::gated_act(rows, c, eps, x, gc, bc, gg, bg, o);
-    return;
-  }
-  scalar::gated_act(rows, c, eps, x, gc, bc, gg, bg, o);
+  const auto k =
+      active_tier() == Tier::kAvx2 ? avx2::gated_act : scalar::gated_act;
+  // Two row statistics plus two exp per output element.
+  parallel_rows(rows, 16 * c, [=](index_t lo, index_t hi) {
+    k(hi - lo, c, eps, x + lo * 2 * c, gc, bc, gg, bg, o + lo * c);
+  });
 }
 
 }  // namespace fastchg::ops::rownorm

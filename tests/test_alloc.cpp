@@ -6,7 +6,8 @@
 //   * tensor storage routing: pool reuse across same-shape tensors,
 //     source_allocator() attribution, cross-thread free returning blocks to
 //     the issuing pool;
-//   * from_vector(&&) buffer adoption (zero copy, no allocator round-trip);
+//   * from_vector of a moved-from vector: logical byte tracking and shape
+//     checks (the payload is always an allocator-backed copy);
 //   * a randomized multi-threaded alloc/free/epoch stress test with data
 //     integrity checks, run under the ASan/UBSan CI matrix.
 #include <gtest/gtest.h>
@@ -245,16 +246,6 @@ TEST_F(AllocTest, PoolOutlivesItsHandleWhileBlocksLive) {
   // alive, so reading and releasing is safe (ASan would flag a UAF here).
   EXPECT_EQ(t.data()[0], 7.0f);
   t = Tensor();
-}
-
-TEST_F(AllocTest, FromVectorMoveAdoptsBufferZeroCopy) {
-  std::vector<float> v = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
-  const float* buf = v.data();
-  Tensor t = Tensor::from_vector(std::move(v), {2, 3});
-  EXPECT_EQ(t.data(), buf);                  // same buffer, no copy
-  EXPECT_EQ(t.source_allocator(), nullptr);  // adopted, not allocator-backed
-  EXPECT_EQ(t.numel(), 6);
-  EXPECT_EQ(t.data()[5], 6.0f);
 }
 
 TEST_F(AllocTest, FromVectorMoveTracksLogicalBytes) {

@@ -62,6 +62,14 @@ TEST(OpsForward, MatmulKnownValues) {
             (std::vector<float>{19, 22, 43, 50}));
 }
 
+TEST(OpsForward, MatmulTnEqualsTransposedMatmulBitwise) {
+  Rng rng(77);
+  Var a = random_leaf({37, 5}, rng);
+  Var b = random_leaf({37, 3}, rng);
+  EXPECT_EQ(matmul_tn(a, b).value().to_vector(),
+            matmul(transpose2d(a), b).value().to_vector());
+}
+
 TEST(OpsForward, TransposeRoundTrip) {
   Var a = leaf({1, 2, 3, 4, 5, 6}, {2, 3});
   Var t = transpose2d(a);
@@ -156,6 +164,20 @@ TEST_F(GradCheckCase, MatmulGrad) {
   Var b = random_leaf({5, 2}, rng);
   expect_ok(gradcheck([&] { return sum_all(square(matmul(a, b))); }, {a, b},
                       opt));
+}
+
+TEST_F(GradCheckCase, MatmulTnGrad) {
+  Var a = random_leaf({4, 3}, rng);
+  Var b = random_leaf({4, 2}, rng);
+  expect_ok(gradcheck([&] { return sum_all(square(matmul_tn(a, b))); },
+                      {a, b}, opt));
+}
+
+TEST_F(GradCheckCase, DoubleBackwardMatmulTn) {
+  Var a = random_leaf({4, 3}, rng);
+  Var b = random_leaf({4, 2}, rng);
+  expect_ok(gradcheck_double(
+      [&] { return sum_all(silu(matmul_tn(a, b))); }, {a, b}, opt));
 }
 
 TEST_F(GradCheckCase, UnaryChain) {

@@ -61,14 +61,14 @@ using replay::RecorderScope;
 // datasets + tiny_config).  They change only when the model's op schedule
 // or the fusion pass changes -- update them deliberately, with the perf
 // numbers in hand.
-constexpr std::uint64_t kGoldenTrainerRaw = 3713;
-constexpr std::uint64_t kGoldenTrainerCounted = 1225;
+constexpr std::uint64_t kGoldenTrainerRaw = 3623;
+constexpr std::uint64_t kGoldenTrainerCounted = 1135;
 constexpr std::size_t kGoldenTrainerSpans = 352;
-constexpr std::uint64_t kGoldenServeRaw = 1260;
-constexpr std::uint64_t kGoldenServeCounted = 456;
+constexpr std::uint64_t kGoldenServeRaw = 1233;
+constexpr std::uint64_t kGoldenServeCounted = 429;
 constexpr std::size_t kGoldenServeSpans = 147;
-constexpr std::uint64_t kGoldenDpRaw = 2589;
-constexpr std::uint64_t kGoldenDpCounted = 889;
+constexpr std::uint64_t kGoldenDpRaw = 2521;
+constexpr std::uint64_t kGoldenDpCounted = 821;
 constexpr std::size_t kGoldenDpSpans = 269;
 
 class FuseTest : public ::testing::Test {

@@ -25,6 +25,7 @@
 #include <random>
 #include <vector>
 
+#include "core/parallel_for.hpp"
 #include "ops/basis.hpp"
 #include "ops/dispatch.hpp"
 #include "ops/eltwise.hpp"
@@ -349,6 +350,112 @@ TEST_F(OpsDifferential, GemmDispatchMatchesTier) {
   gemm::matmul(m, k, n, a.data(), b.data(), od.data());
   gemm::scalar::matmul(m, k, n, a.data(), b.data(), os.data());
   EXPECT_TRUE(bitwise_equal(od, os));
+}
+
+// The tiers the host can run (scalar always, AVX2 when supported).
+std::vector<Tier> runnable_tiers() {
+  std::vector<Tier> t{Tier::kScalar};
+  if (avx2_supported()) t.push_back(Tier::kAvx2);
+  return t;
+}
+
+std::vector<float> transpose(const std::vector<float>& a, index_t m,
+                             index_t k) {
+  std::vector<float> t(a.size());
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = 0; j < k; ++j) t[j * m + i] = a[i * k + j];
+  return t;
+}
+
+TEST_F(OpsDifferential, GemmTnBitIdenticalToTransposedMatmulAtEachTier) {
+  // matmul_tn reads A in place with the same per-element k-order as
+  // matmul(transpose(A), B), so it must match it bitwise at every tier and
+  // every thread count, including contractions much shorter than the
+  // output (k >> m) and outputs large enough to split across the pool.
+  struct Dim {
+    index_t m, k, n;
+  };
+  const Dim dims[] = {{1, 1, 1},    {3, 13, 17},  {5, 97, 33},
+                      {2, 300, 9},  {1, 257, 40}, {7, 1003, 3},
+                      {257, 64, 40}, {1000, 31, 64}, {97, 17, 1000}};
+  const int original = num_threads();
+  for (Tier tier : runnable_tiers()) {
+    set_simd_tier(tier);
+    for (const Dim& d : dims) {
+      auto a = random_vec(rng_, d.m * d.k, -1.0f, 1.0f);
+      auto b = random_vec(rng_, d.m * d.n, -1.0f, 1.0f);
+      const auto at = transpose(a, d.m, d.k);
+      std::vector<float> ref(static_cast<std::size_t>(d.k * d.n));
+      gemm::matmul(d.k, d.m, d.n, at.data(), b.data(), ref.data());
+      for (int threads : {1, 4}) {
+        set_num_threads(threads);
+        std::vector<float> tn(ref.size(), -7.0f);
+        gemm::matmul_tn(d.m, d.k, d.n, a.data(), b.data(), tn.data());
+        EXPECT_TRUE(bitwise_equal(ref, tn))
+            << tier_name(tier) << " " << d.m << "x" << d.k << "x" << d.n
+            << " at " << threads << " threads (seed " << kSeed << ")";
+      }
+    }
+  }
+  set_num_threads(original);
+}
+
+TEST_F(OpsDifferential, BroadcastBinaryMatchesPerRowReferenceAtEachTier) {
+  // Every row/column broadcast pattern x {add, sub, mul, div}: the whole-op
+  // kernel (threaded, one dispatch per op) must equal the per-row reference
+  // element for element.
+  using eltwise::Bcast;
+  using eltwise::BinOp;
+  struct Shape2 {
+    index_t rows, cols;
+  };
+  const Shape2 shapes[] = {{1, 1},  {3, 7},   {17, 9},
+                           {64, 33}, {5, 1003}, {3000, 17}};
+  const Bcast pats[] = {Bcast::kARow, Bcast::kBRow, Bcast::kACol,
+                        Bcast::kBCol};
+  const BinOp ops[] = {BinOp::kAdd, BinOp::kSub, BinOp::kMul, BinOp::kDiv};
+  auto apply = [](BinOp op, float x, float y) {
+    switch (op) {
+      case BinOp::kAdd: return x + y;
+      case BinOp::kSub: return x - y;
+      case BinOp::kMul: return x * y;
+      default: return x / y;
+    }
+  };
+  for (Tier tier : runnable_tiers()) {
+    set_simd_tier(tier);
+    for (const Shape2& s : shapes) {
+      const index_t R = s.rows, C = s.cols;
+      const auto full_a = random_vec(rng_, R * C, 0.25f, 4.0f);
+      const auto full_b = random_vec(rng_, R * C, 0.25f, 4.0f);
+      const auto row = random_vec(rng_, C, 0.25f, 4.0f);
+      const auto col = random_vec(rng_, R, 0.25f, 4.0f);
+      for (Bcast p : pats) {
+        const bool a_small = p == Bcast::kARow || p == Bcast::kACol;
+        const bool is_row = p == Bcast::kARow || p == Bcast::kBRow;
+        const std::vector<float>& small = is_row ? row : col;
+        const float* pa = a_small ? small.data() : full_a.data();
+        const float* pb = a_small ? full_b.data() : small.data();
+        for (BinOp op : ops) {
+          std::vector<float> ref(static_cast<std::size_t>(R * C));
+          for (index_t r = 0; r < R; ++r) {
+            for (index_t c = 0; c < C; ++c) {
+              const float sv = is_row ? small[c] : small[r];
+              const float x = a_small ? sv : full_a[r * C + c];
+              const float y = a_small ? full_b[r * C + c] : sv;
+              ref[r * C + c] = apply(op, x, y);
+            }
+          }
+          std::vector<float> out(ref.size(), -7.0f);
+          eltwise::bcast(op, p, R, C, pa, pb, out.data());
+          EXPECT_TRUE(bitwise_equal(ref, out))
+              << tier_name(tier) << " pattern " << static_cast<int>(p)
+              << " op " << static_cast<int>(op) << " " << R << "x" << C
+              << " (seed " << kSeed << ")";
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 
+#include "core/parallel_for.hpp"
 #include "parallel/data_parallel.hpp"
 #include "parallel/scaling.hpp"
 #include "perf/trace.hpp"
@@ -190,6 +191,36 @@ TEST(DataParallel, ReplicasStayBitIdentical) {
   dp.train_epoch(ds, rows, 0);
   // DDP invariant: identical averaged grads + identical optimizer state.
   EXPECT_EQ(dp.replica_divergence(), 0.0f);
+}
+
+TEST(DataParallel, EpochIsBitIdenticalAcrossThreadCounts) {
+  // Within-op threading must not leak into the DDP trajectory: a whole
+  // epoch gives the same loss and lead-replica weights at 1, 2 and 4
+  // workers.
+  data::Dataset ds = medium_dataset(16, 99);
+  auto rows = all_rows(ds);
+  const int original = num_threads();
+  auto run = [&](int threads) {
+    set_num_threads(threads);
+    DataParallelConfig cfg;
+    cfg.num_devices = 4;
+    cfg.global_batch = 16;
+    DataParallelTrainer dp(model::ModelConfig::fast(), cfg, 17);
+    const EpochResult r = dp.train_epoch(ds, rows, 0);
+    std::vector<float> out{static_cast<float>(r.mean_loss)};
+    for (auto& p : dp.master().parameters()) {
+      auto v = p.value().to_vector();
+      out.insert(out.end(), v.begin(), v.end());
+    }
+    EXPECT_EQ(dp.replica_divergence(), 0.0f);
+    return out;
+  };
+  const std::vector<float> one = run(1);
+  const std::vector<float> two = run(2);
+  const std::vector<float> four = run(4);
+  set_num_threads(original);
+  EXPECT_EQ(one, two);
+  EXPECT_EQ(one, four);
 }
 
 TEST(DataParallel, MatchesSingleDeviceGradientAccumulation) {

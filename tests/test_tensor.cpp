@@ -1,6 +1,9 @@
 // Unit tests for the core tensor type and the perf accounting hooks.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "autograd/ops.hpp"
 #include "core/parallel_for.hpp"
 #include "core/rng.hpp"
@@ -142,6 +145,49 @@ TEST(ParallelFor, ThreadCountInvariantResults) {
   auto r4 = matmul_vec();
   set_num_threads(original);
   EXPECT_EQ(r1, r4);
+}
+
+TEST(ParallelFor, ChunksAreWholeGrains) {
+  const int original = num_threads();
+  set_num_threads(4);
+  std::vector<int> hits(1003, 0);
+  parallel_for(0, 1003, 8, [&](index_t lo, index_t hi) {
+    for (index_t i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+    EXPECT_EQ(lo % 8, 0);
+    EXPECT_TRUE(hi == 1003 || (hi - lo) % 8 == 0) << lo << ".." << hi;
+  });
+  set_num_threads(original);
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelFor, TwoOutsideCallersGetFullCoverageAndExactResults) {
+  // A thread that is not a pool worker may call parallel_for while another
+  // outside thread's job is live; it must neither corrupt that job nor lose
+  // any of its own range.
+  const int original = num_threads();
+  set_num_threads(4);
+  auto caller = [](int who, int* bad) {
+    for (int it = 0; it < 500; ++it) {
+      const index_t n = 500 + (who * 131 + it * 17) % 1500;
+      std::vector<index_t> out(static_cast<std::size_t>(n), 0);
+      parallel_for(0, n, 4, [&](index_t lo, index_t hi) {
+        for (index_t i = lo; i < hi; ++i) {
+          out[static_cast<std::size_t>(i)] += i * 3 + who + it;
+        }
+      });
+      for (index_t i = 0; i < n; ++i) {
+        if (out[static_cast<std::size_t>(i)] != i * 3 + who + it) ++*bad;
+      }
+    }
+  };
+  int bad1 = 0, bad2 = 0;
+  std::thread t1(caller, 1, &bad1);
+  std::thread t2(caller, 2, &bad2);
+  t1.join();
+  t2.join();
+  set_num_threads(original);
+  EXPECT_EQ(bad1, 0);
+  EXPECT_EQ(bad2, 0);
 }
 
 TEST(ParallelFor, SetNumThreadsRoundTrip) {

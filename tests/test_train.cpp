@@ -8,6 +8,7 @@
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "core/parallel_for.hpp"
 #include "train/trainer.hpp"
 
 namespace fastchg::train {
@@ -301,6 +302,44 @@ TEST(PrefetchTrainer, IdenticalResultsWithAndWithoutPrefetch) {
     return weights;
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+TEST(ThreadCount, TrainerStepIsBitIdenticalAcrossThreadCounts) {
+  // One full step (forward, force/stress derivatives, backward, Adam) on a
+  // batch large enough that GEMM, eltwise, broadcast, rownorm and basis
+  // kernels all split their rows: loss and weights must not depend on the
+  // worker count.
+  data::GeneratorConfig g;
+  g.min_atoms = 8;
+  g.max_atoms = 24;
+  g.lognormal_mu = 2.6;
+  data::Dataset ds = data::Dataset::generate(8, 4242, g);
+  std::vector<index_t> idx;
+  for (index_t i = 0; i < ds.size(); ++i) idx.push_back(i);
+  const int original = num_threads();
+  auto run = [&](int threads) {
+    set_num_threads(threads);
+    model::CHGNet net(model::ModelConfig::fast(), 43);
+    TrainConfig tc;
+    tc.batch_size = 8;
+    tc.epochs = 1;
+    tc.prefetch = false;
+    Trainer trainer(net, tc);
+    const EpochStats st = trainer.train_epoch(ds, idx, 0);
+    EXPECT_EQ(st.iterations, 1);
+    std::vector<float> out{static_cast<float>(st.mean_loss)};
+    for (auto& p : net.parameters()) {
+      auto v = p.value().to_vector();
+      out.insert(out.end(), v.begin(), v.end());
+    }
+    return out;
+  };
+  const std::vector<float> one = run(1);
+  const std::vector<float> two = run(2);
+  const std::vector<float> four = run(4);
+  set_num_threads(original);
+  EXPECT_EQ(one, two);
+  EXPECT_EQ(one, four);
 }
 
 // ---------------------------------------------------------------------------
