@@ -84,8 +84,7 @@ int bench_ops_main(int argc, char** argv) {
   std::mt19937 rng(20260808u);
   std::vector<FamilyRow> rows;
 
-  {  // eltwise: L1-resident chunks (the fused-span interpreter's working
-     // set is a 256-float register file), many invocations
+  {  // eltwise: L1-resident chunks, many invocations
     const index_t n = 1 << 11;
     const int inner = 512;
     auto a = random_vec(rng, n, -2.0f, 2.0f);

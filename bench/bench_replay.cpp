@@ -26,18 +26,12 @@
 //   * serve.{eager,replay}.forward.seconds -- same comparison for the
 //     fused serve forward;
 //   * bitexact.{train,serve}.max_diff -- replay-on vs replay-off must
-//     match bit-for-bit (0.0; the program re-runs the same loops);
-//   * fuse.* -- the offline fusion stage (core/fuse.hpp) vs the raw tape:
-//     counted kernels before/after fusion (acceptance: >= 25% removed),
-//     fused vs unfused slab bytes (acceptance: fused <= raw), fused vs
-//     unfused replayed step time (acceptance: <= 1.0), and fused-vs-unfused
-//     trained weights (acceptance: max |diff| exactly 0.0).
+//     match bit-for-bit (0.0; the program re-runs the same loops).
 //
 // Deterministic metrics (allocation counts, missed steps, plan bytes,
 // bit-exactness) gate tightly; wall-clock rows use the ".seconds" suffix.
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -87,16 +81,12 @@ struct TrainPhase {
   double missed_steps = 0.0;     ///< measured-phase steps that ran eager
   double pool_high_water = 0.0;  ///< pooled bytes high-water (eager leg)
   double plan_bytes = 0.0;       ///< live replay slabs (replay leg)
-  double raw_kernels = 0.0;      ///< counted kernels on the pre-fusion tape
-  double fused_kernels = 0.0;    ///< counted kernels actually replayed
 };
 
 /// Warmed steady-state train epochs with replay on or off (pooling on for
 /// both: replay is measured against the strongest eager baseline).
-TrainPhase measure_train(bool replay_on, const BenchOptions& opt,
-                         bool fuse_on = true) {
+TrainPhase measure_train(bool replay_on, const BenchOptions& opt) {
   replay::set_replay_enabled(replay_on);
-  replay::fuse::set_fuse_enabled(fuse_on);
   alloc::set_pooling_enabled(true);
   data::Dataset ds = identical_rows(kRows, 404, opt);
   model::CHGNet net(bench::bench_model_config(3, opt), 7);
@@ -132,95 +122,7 @@ TrainPhase measure_train(bool replay_on, const BenchOptions& opt,
       replay_on ? steps - static_cast<double>(hits) : 0.0;
   ph.pool_high_water = static_cast<double>(c.pool_high_water);
   ph.plan_bytes = static_cast<double>(c.replay_plan_bytes);
-  for (const auto& p : trainer.replay_cache().programs()) {
-    ph.raw_kernels += static_cast<double>(p->raw_counted_kernels());
-    ph.fused_kernels += static_cast<double>(p->counted_kernels());
-  }
   return ph;
-}
-
-struct FusePhase {
-  double raw_step_seconds = 0.0;    ///< best epoch, tape captured fuse-off
-  double fused_step_seconds = 0.0;  ///< best epoch, tape captured fuse-on
-  double raw_plan_bytes = 0.0;
-  double fused_plan_bytes = 0.0;
-};
-
-/// Process CPU seconds: immune to preemption by other tenants on a shared
-/// host, which dominates the wall-clock noise of a ~1% comparison.  Idle
-/// pool helpers spin for at most 50 us after each parallel_for before they
-/// park, so both legs carry the same small spin overhead.
-double cpu_seconds() {
-  timespec ts;
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
-/// Fused vs raw-tape step time, interleaved epoch-by-epoch on two warmed
-/// trainers.  Back-to-back legs drift apart (turbo decay, thermal
-/// throttling make later legs measurably slower on the same work), so the
-/// two tapes alternate within one loop and slow drift hits both equally;
-/// CPU time + min-of-epochs squeezes out the remaining scheduler noise.
-/// The fuse flag only matters at capture time -- each trainer keeps the
-/// tape captured during its own warm-up -- but it is still pinned around
-/// every epoch in case a mid-measure invalidation forces a recapture.
-FusePhase measure_fuse_pair(const BenchOptions& opt) {
-  replay::set_replay_enabled(true);
-  alloc::set_pooling_enabled(true);
-  data::Dataset ds = identical_rows(kRows, 404, opt);
-  model::CHGNet net_raw(bench::bench_model_config(3, opt), 7);
-  model::CHGNet net_fused(bench::bench_model_config(3, opt), 7);
-  train::TrainConfig tc;
-  tc.batch_size = kBatch;
-  tc.epochs = kWarmEpochs + kMeasureEpochs;
-  tc.prefetch = false;
-  train::Trainer tr_raw(net_raw, tc);
-  train::Trainer tr_fused(net_fused, tc);
-  const std::vector<index_t> idx = all_rows(ds);
-
-  replay::fuse::set_fuse_enabled(false);
-  for (int e = 0; e < kWarmEpochs; ++e) tr_raw.train_epoch(ds, idx, e);
-  replay::fuse::set_fuse_enabled(true);
-  for (int e = 0; e < kWarmEpochs; ++e) tr_fused.train_epoch(ds, idx, e);
-
-  double best_raw = 0.0;
-  double best_fused = 0.0;
-  const auto raw_epoch = [&](int e) {
-    replay::fuse::set_fuse_enabled(false);
-    const double t0 = cpu_seconds();
-    tr_raw.train_epoch(ds, idx, kWarmEpochs + e);
-    const double s = cpu_seconds() - t0;
-    if (e == 0 || s < best_raw) best_raw = s;
-  };
-  const auto fused_epoch = [&](int e) {
-    replay::fuse::set_fuse_enabled(true);
-    const double t0 = cpu_seconds();
-    tr_fused.train_epoch(ds, idx, kWarmEpochs + e);
-    const double s = cpu_seconds() - t0;
-    if (e == 0 || s < best_fused) best_fused = s;
-  };
-  for (int e = 0; e < kMeasureEpochs; ++e) {
-    // ABBA: whichever leg runs second inherits a cache polluted by the
-    // other's slab, so the disadvantage alternates instead of compounding.
-    if (e % 2 == 0) {
-      raw_epoch(e);
-      fused_epoch(e);
-    } else {
-      fused_epoch(e);
-      raw_epoch(e);
-    }
-  }
-
-  FusePhase fp;
-  fp.raw_step_seconds = best_raw / static_cast<double>(kSteps);
-  fp.fused_step_seconds = best_fused / static_cast<double>(kSteps);
-  for (const auto& p : tr_raw.replay_cache().programs()) {
-    fp.raw_plan_bytes += static_cast<double>(p->plan_bytes());
-  }
-  for (const auto& p : tr_fused.replay_cache().programs()) {
-    fp.fused_plan_bytes += static_cast<double>(p->plan_bytes());
-  }
-  return fp;
 }
 
 struct ServePhase {
@@ -291,7 +193,6 @@ double max_abs_diff(const std::vector<float>& a, const std::vector<float>& b) {
 double bitexact_train(const BenchOptions& opt) {
   const auto run = [&](bool replay_on) {
     replay::set_replay_enabled(replay_on);
-    replay::fuse::set_fuse_enabled(true);
     data::Dataset ds = identical_rows(16, 606, opt);
     model::CHGNet net(bench::bench_model_config(3, opt), 19);
     train::TrainConfig tc;
@@ -304,30 +205,11 @@ double bitexact_train(const BenchOptions& opt) {
   return max_abs_diff(run(true), run(false));
 }
 
-/// Fused vs unfused replay must train to bit-identical weights (the fused
-/// closures evaluate the same float expressions in the same order).
-double bitexact_fuse(const BenchOptions& opt) {
-  const auto run = [&](bool fuse_on) {
-    replay::set_replay_enabled(true);
-    replay::fuse::set_fuse_enabled(fuse_on);
-    data::Dataset ds = identical_rows(16, 707, opt);
-    model::CHGNet net(bench::bench_model_config(3, opt), 23);
-    train::TrainConfig tc;
-    tc.batch_size = 4;
-    tc.epochs = 3;
-    train::Trainer trainer(net, tc);
-    trainer.fit(ds, all_rows(ds));
-    return flatten_parameters(net);
-  };
-  return max_abs_diff(run(true), run(false));
-}
-
 double bitexact_serve(const BenchOptions& opt) {
   data::Dataset ds = identical_rows(6, 808, opt);
   model::CHGNet net(bench::bench_model_config(3, opt), 29);
   const auto run = [&](bool replay_on) {
     replay::set_replay_enabled(replay_on);
-    replay::fuse::set_fuse_enabled(true);
     serve::EngineConfig cfg;
     cfg.graph = bench::bench_graph_config(opt);
     cfg.max_batch = 6;
@@ -370,7 +252,6 @@ int main(int argc, char** argv) {
 
   const bool prev_pooling = alloc::pooling_enabled();
   const bool prev_replay = replay::replay_enabled();
-  const bool prev_fuse = replay::fuse::fuse_enabled();
 
   // -- training step: eager vs replayed --------------------------------
   const TrainPhase eager = measure_train(false, opt);
@@ -405,31 +286,6 @@ int main(int argc, char** argv) {
   std::printf("  ratio           : %12.4f  (acceptance: <= 1.0)\n",
               plan_ratio);
 
-  // -- offline fusion: fused vs raw tape -------------------------------
-  const FusePhase fp = measure_fuse_pair(opt);
-  const double kernel_ratio =
-      replayed.raw_kernels > 0.0
-          ? replayed.fused_kernels / replayed.raw_kernels
-          : 1.0;
-  const double fuse_time_ratio =
-      fp.raw_step_seconds > 0.0
-          ? fp.fused_step_seconds / fp.raw_step_seconds
-          : 1.0;
-  const double diff_fuse = bitexact_fuse(opt);
-  bench::print_rule();
-  std::printf("offline fusion (replayed step, fused vs raw tape):\n");
-  std::printf("  kernels  : %10.0f raw  -> %8.0f fused   (ratio %.4f, "
-              "acceptance: <= 0.75)\n",
-              replayed.raw_kernels, replayed.fused_kernels, kernel_ratio);
-  std::printf("  plan     : %10.0f raw  -> %8.0f fused bytes   "
-              "(acceptance: fused <= raw)\n",
-              fp.raw_plan_bytes, fp.fused_plan_bytes);
-  std::printf("  step     : %10.3f raw  -> %8.3f fused ms/step   "
-              "(ratio %.3f, acceptance: <= 1.02)\n",
-              1e3 * fp.raw_step_seconds, 1e3 * fp.fused_step_seconds,
-              fuse_time_ratio);
-  std::printf("  bitexact : max|diff| = %g   (must be 0.0)\n", diff_fuse);
-
   // -- fused serve forward ---------------------------------------------
   const ServePhase serve_eager = measure_serve(false, opt);
   const ServePhase serve_replay = measure_serve(true, opt);
@@ -457,15 +313,10 @@ int main(int argc, char** argv) {
 
   alloc::set_pooling_enabled(prev_pooling);
   replay::set_replay_enabled(prev_replay);
-  replay::fuse::set_fuse_enabled(prev_fuse);
 
   const bool pass = time_ratio < 1.0 && plan_ratio <= 1.0 &&
                     replayed.missed_steps == 0.0 && diff_train == 0.0 &&
-                    diff_serve == 0.0 && kernel_ratio <= 0.75 &&
-                    fp.fused_plan_bytes <= fp.raw_plan_bytes &&
-                    // Interleaved CPU-time min-of-epochs still jitters ~1%;
-                    // fusion must not slow the step beyond that noise floor.
-                    fuse_time_ratio <= 1.02 && diff_fuse == 0.0;
+                    diff_serve == 0.0;
   std::printf("\nshape check: %s\n", pass ? "PASS" : "FAIL");
 
   // Deterministic rows gate tightly; wall-clock rows carry ".seconds".
@@ -483,13 +334,6 @@ int main(int argc, char** argv) {
              serve_replay.allocs_per_forward);
   rec.metric("bitexact.train.max_diff", diff_train);
   rec.metric("bitexact.serve.max_diff", diff_serve);
-  rec.metric("fuse.kernels.raw", replayed.raw_kernels);
-  rec.metric("fuse.kernels.fused", replayed.fused_kernels);
-  rec.metric("fuse.kernel_reduction.ratio", kernel_ratio);
-  rec.metric("fuse.plan.raw_bytes", fp.raw_plan_bytes);
-  rec.metric("fuse.plan.fused_bytes", fp.fused_plan_bytes);
-  rec.metric("fuse.step_over_raw.time_ratio.seconds", fuse_time_ratio);
-  rec.metric("bitexact.fuse.max_diff", diff_fuse);
   rec.finish();
   return pass ? 0 : 1;
 }

@@ -24,15 +24,15 @@
 // GEMM, row gather/scatter and column sums through the tiered op library.
 // Ops in the bit-exact class produce identical bytes at every tier;
 // transcendentals and double-accumulated reductions stay pinned to the
-// scalar reference (see docs/ops.md), so the fuse/replay/pool 0.0-diff
-// gates hold under any FASTCHG_SIMD setting.  Row-independent loops split
+// scalar reference (see docs/ops.md), so the replay/pool 0.0-diff gates
+// hold under any FASTCHG_SIMD setting.  Row-independent loops split
 // their rows across the worker pool (docs/ops.md, "Threading"), which keeps
 // every result bit-identical at any FASTCHG_NUM_THREADS.
 
 namespace fastchg::ag::ops {
 
-namespace fuse = replay::fuse;
 namespace sops = ::fastchg::ops;
+namespace ew = sops::eltwise;
 
 namespace {
 
@@ -100,43 +100,38 @@ BPat classify(const Tensor& a, const Tensor& b, Shape& out_shape) {
 /// call and the replay closure (identical instruction streams => bit-
 /// identical results).  Every pattern is one threaded ops::eltwise call;
 /// rows/cols are only read for the 2-D row/col broadcast patterns.
-void binary_loop(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
+void binary_loop(ew::BinOp op, BPat pat, index_t rows, index_t cols,
                  index_t n, const float* pa, const float* pb, float* po) {
-  using fuse::EOp;
-  namespace ew = sops::eltwise;
+  using ew::BinOp;
   switch (pat) {
     case BPat::kSame:
-      switch (eop) {
-        case EOp::kAdd: ew::add(n, pa, pb, po); return;
-        case EOp::kSub: ew::sub(n, pa, pb, po); return;
-        case EOp::kMul: ew::mul(n, pa, pb, po); return;
+      switch (op) {
+        case BinOp::kAdd: ew::add(n, pa, pb, po); return;
+        case BinOp::kSub: ew::sub(n, pa, pb, po); return;
+        case BinOp::kMul: ew::mul(n, pa, pb, po); return;
         default: ew::div(n, pa, pb, po); return;
       }
     case BPat::kAScalar: {
       const float av = pa[0];
-      switch (eop) {
-        case EOp::kAdd: ew::add_s(n, pb, av, po); return;
-        case EOp::kSub: ew::rsub_s(n, pb, av, po); return;
-        case EOp::kMul: ew::mul_s(n, pb, av, po); return;
+      switch (op) {
+        case BinOp::kAdd: ew::add_s(n, pb, av, po); return;
+        case BinOp::kSub: ew::rsub_s(n, pb, av, po); return;
+        case BinOp::kMul: ew::mul_s(n, pb, av, po); return;
         default: ew::rdiv_s(n, pb, av, po); return;
       }
     }
     case BPat::kBScalar: {
       const float bv = pb[0];
-      switch (eop) {
-        case EOp::kAdd: ew::add_s(n, pa, bv, po); return;
-        case EOp::kSub: ew::sub_s(n, pa, bv, po); return;
-        case EOp::kMul: ew::mul_s(n, pa, bv, po); return;
+      switch (op) {
+        case BinOp::kAdd: ew::add_s(n, pa, bv, po); return;
+        case BinOp::kSub: ew::sub_s(n, pa, bv, po); return;
+        case BinOp::kMul: ew::mul_s(n, pa, bv, po); return;
         default: ew::div_s(n, pa, bv, po); return;
       }
     }
     default:
       break;
   }
-  const ew::BinOp op = eop == EOp::kAdd   ? ew::BinOp::kAdd
-                       : eop == EOp::kSub ? ew::BinOp::kSub
-                       : eop == EOp::kMul ? ew::BinOp::kMul
-                                          : ew::BinOp::kDiv;
   const ew::Bcast bp = pat == BPat::kARow   ? ew::Bcast::kARow
                        : pat == BPat::kBRow ? ew::Bcast::kBRow
                        : pat == BPat::kACol ? ew::Bcast::kACol
@@ -144,42 +139,7 @@ void binary_loop(fuse::EOp eop, BPat pat, index_t rows, index_t cols,
   ew::bcast(op, bp, rows, cols, pa, pb, po);
 }
 
-/// Addressing modes a broadcast pattern imposes on the two operands (the
-/// fusion pass reads elements through the same modes the eager loop uses).
-void fuse_addrs(BPat pat, index_t cols, fuse::Addr& aa, fuse::Addr& ab,
-                index_t& dcols) {
-  aa = fuse::Addr::kElem;
-  ab = fuse::Addr::kElem;
-  dcols = 0;
-  switch (pat) {
-    case BPat::kSame:
-      break;
-    case BPat::kAScalar:
-      aa = fuse::Addr::kScalar;
-      break;
-    case BPat::kBScalar:
-      ab = fuse::Addr::kScalar;
-      break;
-    case BPat::kARow:
-      aa = fuse::Addr::kRow;
-      dcols = cols;
-      break;
-    case BPat::kBRow:
-      ab = fuse::Addr::kRow;
-      dcols = cols;
-      break;
-    case BPat::kACol:
-      aa = fuse::Addr::kCol;
-      dcols = cols;
-      break;
-    case BPat::kBCol:
-      ab = fuse::Addr::kCol;
-      dcols = cols;
-      break;
-  }
-}
-
-Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
+Tensor binary_kernel(const char* name, ew::BinOp op, const Tensor& a,
                      const Tensor& b) {
   perf::count_kernel(name);
   Shape out_shape;
@@ -188,74 +148,47 @@ Tensor binary_kernel(const char* name, fuse::EOp eop, const Tensor& a,
   const index_t rows = out_shape.size() == 2 ? out_shape[0] : 0;
   const index_t cols = out_shape.size() == 2 ? out_shape[1] : 0;
   const index_t n = out.numel();
-  binary_loop(eop, pat, rows, cols, n, a.data(), b.data(), out.data());
+  binary_loop(op, pat, rows, cols, n, a.data(), b.data(), out.data());
   if (auto* rec = replay::Recorder::active()) {
     const int sa = rec->note_input(a);
     const int sb = rec->note_input(b);
     const int so = rec->note_output(out);
-    fuse::Addr aa, ab;
-    index_t dcols;
-    fuse_addrs(pat, cols, aa, ab, dcols);
-    rec->push(
-        name, /*counted=*/true, {sa, sb}, so,
-        [eop, pat, rows, cols, n, sa, sb, so](float* const* S) {
-          binary_loop(eop, pat, rows, cols, n, S[sa], S[sb], S[so]);
-        },
-        fuse::ew_binary(eop, aa, ab, n, dcols));
+    rec->push(name, /*counted=*/true, {sa, sb}, so,
+              [op, pat, rows, cols, n, sa, sb, so](float* const* S) {
+                binary_loop(op, pat, rows, cols, n, S[sa], S[sb], S[so]);
+              });
   }
   return out;
 }
 
-/// Scalar libm loop for the transcendentals, split elementwise across the
-/// pool (each element is computed once, by the same expression).  A libm
-/// call weighs about as much as 8 floats of streaming arithmetic.
+/// Scalar libm loop for the transcendentals (exp/log/sin/cos/acos/tanh/
+/// sigmoid/silu/pow), pinned to the scalar reference so their bytes never
+/// depend on the SIMD tier.  Split elementwise across the pool (each element
+/// is computed once, by the same expression); a libm call weighs about as
+/// much as 8 floats of streaming arithmetic.
 template <class F>
-void unary_loop(index_t n, const float* px, float* po, F f) {
-  parallel_rows(n, 8, [&](index_t lo, index_t hi) {
-    for (index_t i = lo; i < hi; ++i) po[i] = f(px[i]);
-  });
+auto libm_loop(F f) {
+  return [f](index_t n, const float* px, float* po) {
+    parallel_rows(n, 8, [&](index_t lo, index_t hi) {
+      for (index_t i = lo; i < hi; ++i) po[i] = f(px[i]);
+    });
+  };
 }
 
-/// Dispatch-routing wrapper around unary_loop.  Pure arithmetic EOps go
-/// through ops::eltwise (bit-exact at every tier); the transcendentals
-/// (exp/log/sin/cos/acos/tanh/sigmoid/silu/pow) stay pinned to the scalar
-/// libm loop so their bytes never depend on the tier.
-template <class F>
-void unary_loop_d(fuse::EOp eop, float s0, float s1, index_t n,
-                  const float* px, float* po, F f) {
-  namespace ew = sops::eltwise;
-  using fuse::EOp;
-  switch (eop) {
-    case EOp::kNeg: ew::neg(n, px, po); return;
-    case EOp::kAbs: ew::abs(n, px, po); return;
-    case EOp::kSquare: ew::square(n, px, po); return;
-    case EOp::kRecip: ew::recip(n, px, po); return;
-    case EOp::kSqrt: ew::sqrt(n, px, po); return;
-    case EOp::kSign: ew::sign(n, px, po); return;
-    case EOp::kAddS: ew::add_s(n, px, s0, po); return;
-    case EOp::kMulS: ew::mul_s(n, px, s0, po); return;
-    case EOp::kClamp: ew::clamp(n, px, s0, s1, po); return;
-    case EOp::kClampMask: ew::clamp_mask(n, px, s0, s1, po); return;
-    default: unary_loop(n, px, po, f); return;
-  }
-}
-
-template <class F>
-Tensor unary_kernel(const char* name, fuse::EOp eop, const Tensor& x, F f,
-                    float s0 = 0.0f, float s1 = 0.0f) {
+/// Every unary op: `k(n, x, out)` is its whole kernel -- an ops::eltwise
+/// entry point (bit-exact at every tier) or a libm_loop -- run by the eager
+/// call and by the replay closure alike.
+template <class K>
+Tensor unary_kernel(const char* name, const Tensor& x, K k) {
   perf::count_kernel(name);
   Tensor out = Tensor::empty(x.shape());
   const index_t n = x.numel();
-  unary_loop_d(eop, s0, s1, n, x.data(), out.data(), f);
+  k(n, x.data(), out.data());
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(x);
     const int so = rec->note_output(out);
-    rec->push(
-        name, /*counted=*/true, {sx}, so,
-        [eop, s0, s1, n, sx, so, f](float* const* S) {
-          unary_loop_d(eop, s0, s1, n, S[sx], S[so], f);
-        },
-        fuse::ew_unary(eop, n, s0, s1));
+    rec->push(name, /*counted=*/true, {sx}, so,
+              [k, n, sx, so](float* const* S) { k(n, S[sx], S[so]); });
   }
   return out;
 }
@@ -272,7 +205,7 @@ Var ones_like(const Var& x) { return constant(Tensor::ones(x.shape())); }
 // ---------------------------------------------------------------------------
 
 Var add(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("add", fuse::EOp::kAdd, a.value(), b.value());
+  Tensor out = binary_kernel("add", ew::BinOp::kAdd, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("add", std::move(out), {a, b},
                       [sa, sb](const Var& g) -> std::vector<Var> {
@@ -281,7 +214,7 @@ Var add(const Var& a, const Var& b) {
 }
 
 Var sub(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("sub", fuse::EOp::kSub, a.value(), b.value());
+  Tensor out = binary_kernel("sub", ew::BinOp::kSub, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("sub", std::move(out), {a, b},
                       [sa, sb](const Var& g) -> std::vector<Var> {
@@ -290,7 +223,7 @@ Var sub(const Var& a, const Var& b) {
 }
 
 Var mul(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("mul", fuse::EOp::kMul, a.value(), b.value());
+  Tensor out = binary_kernel("mul", ew::BinOp::kMul, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   return make_op_node("mul", std::move(out), {a, b},
                       [a, b, sa, sb](const Var& g) -> std::vector<Var> {
@@ -299,7 +232,7 @@ Var mul(const Var& a, const Var& b) {
 }
 
 Var div(const Var& a, const Var& b) {
-  Tensor out = binary_kernel("div", fuse::EOp::kDiv, a.value(), b.value());
+  Tensor out = binary_kernel("div", ew::BinOp::kDiv, a.value(), b.value());
   Shape sa = a.shape(), sb = b.shape();
   Var result = make_op_node(
       "div", std::move(out), {a, b},
@@ -317,17 +250,17 @@ Var div(const Var& a, const Var& b) {
 // ---------------------------------------------------------------------------
 
 Var add_scalar(const Var& x, float s) {
-  Tensor out =
-      unary_kernel("add_scalar", fuse::EOp::kAddS, x.value(),
-                   [s](float v) { return v + s; }, s);
+  Tensor out = unary_kernel(
+      "add_scalar", x.value(),
+      [s](index_t n, const float* px, float* po) { ew::add_s(n, px, s, po); });
   return make_op_node("add_scalar", std::move(out), {x},
                       [](const Var& g) -> std::vector<Var> { return {g}; });
 }
 
 Var mul_scalar(const Var& x, float s) {
-  Tensor out =
-      unary_kernel("mul_scalar", fuse::EOp::kMulS, x.value(),
-                   [s](float v) { return v * s; }, s);
+  Tensor out = unary_kernel(
+      "mul_scalar", x.value(),
+      [s](index_t n, const float* px, float* po) { ew::mul_s(n, px, s, po); });
   return make_op_node("mul_scalar", std::move(out), {x},
                       [s](const Var& g) -> std::vector<Var> {
                         return {mul_scalar(g, s)};
@@ -335,8 +268,9 @@ Var mul_scalar(const Var& x, float s) {
 }
 
 Var pow_scalar(const Var& x, float p) {
-  Tensor out = unary_kernel("pow_scalar", fuse::EOp::kPowS, x.value(),
-                            [p](float v) { return std::pow(v, p); }, p);
+  Tensor out =
+      unary_kernel("pow_scalar", x.value(),
+                   libm_loop([p](float v) { return std::pow(v, p); }));
   return make_op_node("pow_scalar", std::move(out), {x},
                       [x, p](const Var& g) -> std::vector<Var> {
                         return {mul(g, mul_scalar(pow_scalar(x, p - 1), p))};
@@ -348,8 +282,7 @@ Var pow_scalar(const Var& x, float p) {
 // ---------------------------------------------------------------------------
 
 Var neg(const Var& x) {
-  Tensor out = unary_kernel("neg", fuse::EOp::kNeg, x.value(),
-                            [](float v) { return -v; });
+  Tensor out = unary_kernel("neg", x.value(), ew::neg);
   return make_op_node("neg", std::move(out), {x},
                       [](const Var& g) -> std::vector<Var> {
                         return {neg(g)};
@@ -357,9 +290,8 @@ Var neg(const Var& x) {
 }
 
 Var exp_op(const Var& x) {
-  Tensor out =
-      unary_kernel("exp", fuse::EOp::kExp, x.value(),
-                   [](float v) { return std::exp(v); });
+  Tensor out = unary_kernel("exp", x.value(),
+                            libm_loop([](float v) { return std::exp(v); }));
   Var y = make_op_node("exp", std::move(out), {x},
                        [x](const Var& g) -> std::vector<Var> {
                          return {mul(g, exp_op(x))};
@@ -368,9 +300,8 @@ Var exp_op(const Var& x) {
 }
 
 Var log_op(const Var& x) {
-  Tensor out =
-      unary_kernel("log", fuse::EOp::kLog, x.value(),
-                   [](float v) { return std::log(v); });
+  Tensor out = unary_kernel("log", x.value(),
+                            libm_loop([](float v) { return std::log(v); }));
   return make_op_node("log", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {div(g, x)};
@@ -378,9 +309,7 @@ Var log_op(const Var& x) {
 }
 
 Var sqrt_op(const Var& x) {
-  Tensor out =
-      unary_kernel("sqrt", fuse::EOp::kSqrt, x.value(),
-                   [](float v) { return std::sqrt(v); });
+  Tensor out = unary_kernel("sqrt", x.value(), ew::sqrt);
   return make_op_node("sqrt", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {mul_scalar(div(g, sqrt_op(x)), 0.5f)};
@@ -388,9 +317,8 @@ Var sqrt_op(const Var& x) {
 }
 
 Var sin_op(const Var& x) {
-  Tensor out =
-      unary_kernel("sin", fuse::EOp::kSin, x.value(),
-                   [](float v) { return std::sin(v); });
+  Tensor out = unary_kernel("sin", x.value(),
+                            libm_loop([](float v) { return std::sin(v); }));
   return make_op_node("sin", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {mul(g, cos_op(x))};
@@ -398,9 +326,8 @@ Var sin_op(const Var& x) {
 }
 
 Var cos_op(const Var& x) {
-  Tensor out =
-      unary_kernel("cos", fuse::EOp::kCos, x.value(),
-                   [](float v) { return std::cos(v); });
+  Tensor out = unary_kernel("cos", x.value(),
+                            libm_loop([](float v) { return std::cos(v); }));
   return make_op_node("cos", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {neg(mul(g, sin_op(x)))};
@@ -408,9 +335,8 @@ Var cos_op(const Var& x) {
 }
 
 Var acos_op(const Var& x) {
-  Tensor out =
-      unary_kernel("acos", fuse::EOp::kAcos, x.value(),
-                   [](float v) { return std::acos(v); });
+  Tensor out = unary_kernel("acos", x.value(),
+                            libm_loop([](float v) { return std::acos(v); }));
   return make_op_node(
       "acos", std::move(out), {x}, [x](const Var& g) -> std::vector<Var> {
         // d/dx acos(x) = -1 / sqrt(1 - x^2)
@@ -420,9 +346,8 @@ Var acos_op(const Var& x) {
 }
 
 Var tanh_op(const Var& x) {
-  Tensor out =
-      unary_kernel("tanh", fuse::EOp::kTanh, x.value(),
-                   [](float v) { return std::tanh(v); });
+  Tensor out = unary_kernel("tanh", x.value(),
+                            libm_loop([](float v) { return std::tanh(v); }));
   return make_op_node("tanh", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         Var y = tanh_op(x);
@@ -431,9 +356,9 @@ Var tanh_op(const Var& x) {
 }
 
 Var sigmoid(const Var& x) {
-  Tensor out = unary_kernel("sigmoid", fuse::EOp::kSigmoid, x.value(), [](float v) {
-    return 1.0f / (1.0f + std::exp(-v));
-  });
+  Tensor out = unary_kernel("sigmoid", x.value(), libm_loop([](float v) {
+                              return 1.0f / (1.0f + std::exp(-v));
+                            }));
   return make_op_node("sigmoid", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         Var s = sigmoid(x);
@@ -442,9 +367,9 @@ Var sigmoid(const Var& x) {
 }
 
 Var silu(const Var& x) {
-  Tensor out = unary_kernel("silu", fuse::EOp::kSilu, x.value(), [](float v) {
-    return v / (1.0f + std::exp(-v));
-  });
+  Tensor out = unary_kernel("silu", x.value(), libm_loop([](float v) {
+                              return v / (1.0f + std::exp(-v));
+                            }));
   return make_op_node(
       "silu", std::move(out), {x}, [x](const Var& g) -> std::vector<Var> {
         // d/dx silu = s + x * s * (1 - s), s = sigmoid(x)
@@ -455,14 +380,10 @@ Var silu(const Var& x) {
 }
 
 Var abs_op(const Var& x) {
-  Tensor out =
-      unary_kernel("abs", fuse::EOp::kAbs, x.value(),
-                   [](float v) { return std::fabs(v); });
+  Tensor out = unary_kernel("abs", x.value(), ew::abs);
   // sign(x) treated as a constant: correct almost everywhere and keeps
   // grad-of-grad well defined.
-  Tensor sign = unary_kernel("sign", fuse::EOp::kSign, x.value(), [](float v) {
-    return v > 0.0f ? 1.0f : (v < 0.0f ? -1.0f : 0.0f);
-  });
+  Tensor sign = unary_kernel("sign", x.value(), ew::sign);
   Var sign_c = constant(std::move(sign));
   return make_op_node("abs", std::move(out), {x},
                       [sign_c](const Var& g) -> std::vector<Var> {
@@ -471,8 +392,7 @@ Var abs_op(const Var& x) {
 }
 
 Var reciprocal(const Var& x) {
-  Tensor out = unary_kernel("reciprocal", fuse::EOp::kRecip, x.value(),
-                            [](float v) { return 1.0f / v; });
+  Tensor out = unary_kernel("reciprocal", x.value(), ew::recip);
   return make_op_node("reciprocal", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         Var inv = reciprocal(x);
@@ -481,9 +401,7 @@ Var reciprocal(const Var& x) {
 }
 
 Var square(const Var& x) {
-  Tensor out =
-      unary_kernel("square", fuse::EOp::kSquare, x.value(),
-                   [](float v) { return v * v; });
+  Tensor out = unary_kernel("square", x.value(), ew::square);
   return make_op_node("square", std::move(out), {x},
                       [x](const Var& g) -> std::vector<Var> {
                         return {mul_scalar(mul(g, x), 2.0f)};
@@ -492,12 +410,13 @@ Var square(const Var& x) {
 
 Var clamp(const Var& x, float lo, float hi) {
   Tensor out = unary_kernel(
-      "clamp", fuse::EOp::kClamp, x.value(),
-      [lo, hi](float v) { return v < lo ? lo : (v > hi ? hi : v); }, lo, hi);
+      "clamp", x.value(), [lo, hi](index_t n, const float* px, float* po) {
+        ew::clamp(n, px, lo, hi, po);
+      });
   Tensor mask = unary_kernel(
-      "clamp_mask", fuse::EOp::kClampMask, x.value(),
-      [lo, hi](float v) { return (v >= lo && v <= hi) ? 1.0f : 0.0f; }, lo,
-      hi);
+      "clamp_mask", x.value(), [lo, hi](index_t n, const float* px, float* po) {
+        ew::clamp_mask(n, px, lo, hi, po);
+      });
   Var mask_c = constant(std::move(mask));
   return make_op_node("clamp", std::move(out), {x},
                       [mask_c](const Var& g) -> std::vector<Var> {
@@ -633,10 +552,8 @@ Var sum_all(const Var& x) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(x.value());
     const int so = rec->note_output(out);
-    rec->push(
-        "sum_all", /*counted=*/true, {sx}, so,
-        [n, sx, so](float* const* S) { sum_all_loop(n, S[sx], S[so]); },
-        fuse::reduce_desc(fuse::EOp::kSumAll, n, 0));
+    rec->push("sum_all", /*counted=*/true, {sx}, so,
+              [n, sx, so](float* const* S) { sum_all_loop(n, S[sx], S[so]); });
   }
   Shape sx = x.shape();
   return make_op_node("sum_all", std::move(out), {x},
@@ -671,14 +588,10 @@ Var sum_dim(const Var& x, index_t dim, bool keepdim) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(x.value());
     const int so = rec->note_output(out);
-    rec->push(
-        "sum_dim", /*counted=*/true, {sx}, so,
-        [dim, rows, cols, sx, so](float* const* S) {
-          sum_dim_loop(dim, rows, cols, S[sx], S[so]);
-        },
-        fuse::reduce_desc(
-            dim == 0 ? fuse::EOp::kSumDim0 : fuse::EOp::kSumDim1,
-            rows * cols, cols));
+    rec->push("sum_dim", /*counted=*/true, {sx}, so,
+              [dim, rows, cols, sx, so](float* const* S) {
+                sum_dim_loop(dim, rows, cols, S[sx], S[so]);
+              });
   }
   Shape sx = x.shape();
   Shape mid = (dim == 0) ? Shape{1, cols} : Shape{rows, 1};
@@ -749,16 +662,10 @@ Var broadcast_to(const Var& x, const Shape& shape) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(xv);
     const int so = rec->note_output(out);
-    const fuse::Addr ba = mode == BMode::kFill
-                              ? fuse::Addr::kScalar
-                              : (mode == BMode::kRow ? fuse::Addr::kRow
-                                                     : fuse::Addr::kCol);
-    rec->push(
-        "broadcast", /*counted=*/true, {sx}, so,
-        [mode, rows, cols, n, sx, so](float* const* S) {
-          broadcast_loop(mode, rows, cols, n, S[sx], S[so]);
-        },
-        fuse::ew_broadcast(ba, n, mode == BMode::kFill ? 0 : cols));
+    rec->push("broadcast", /*counted=*/true, {sx}, so,
+              [mode, rows, cols, n, sx, so](float* const* S) {
+                broadcast_loop(mode, rows, cols, n, S[sx], S[so]);
+              });
   }
   Shape sx = x.shape();
   return make_op_node("broadcast", std::move(out), {x},
@@ -835,12 +742,10 @@ Var index_select0(const Var& x, std::vector<index_t> idx) {
   if (auto* rec = replay::Recorder::active()) {
     const int sx = rec->note_input(xv);
     const int so = rec->note_output(out);
-    rec->push(
-        "index_select", /*counted=*/true, {sx}, so,
-        [idx_sp, rows, w, sx, so](float* const* S) {
-          index_select_loop(*idx_sp, rows, w, S[sx], S[so]);
-        },
-        fuse::gather_desc(idx_sp, rows, w));
+    rec->push("index_select", /*counted=*/true, {sx}, so,
+              [idx_sp, rows, w, sx, so](float* const* S) {
+                index_select_loop(*idx_sp, rows, w, S[sx], S[so]);
+              });
   }
   return make_op_node("index_select", std::move(out), {x},
                       [idx_sp, rows](const Var& g) -> std::vector<Var> {
@@ -863,12 +768,10 @@ Var index_add0(index_t rows, std::vector<index_t> idx, const Var& src) {
   if (auto* rec = replay::Recorder::active()) {
     const int ss = rec->note_input(sv);
     const int so = rec->note_output(out);
-    rec->push(
-        "index_add", /*counted=*/true, {ss}, so,
-        [idx_sp, rows, w, ss, so](float* const* S) {
-          index_add_loop(*idx_sp, rows, w, S[ss], S[so]);
-        },
-        fuse::scatter_desc(idx_sp, rows, w));
+    rec->push("index_add", /*counted=*/true, {ss}, so,
+              [idx_sp, rows, w, ss, so](float* const* S) {
+                index_add_loop(*idx_sp, rows, w, S[ss], S[so]);
+              });
   }
   return make_op_node("index_add", std::move(out), {src},
                       [idx_sp](const Var& g) -> std::vector<Var> {

@@ -56,7 +56,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fuse.hpp"
 #include "core/memplan.hpp"
 #include "core/tensor.hpp"
 #include "ops/dispatch.hpp"
@@ -138,16 +137,8 @@ class Program {
   std::size_t plan_bytes() const { return plan_.slab_bytes; }
   const MemPlan& plan() const { return plan_; }
 
-  /// Offline-fusion outcome for this program (core/fuse.hpp).  When the
-  /// fusion stage is off (FASTCHG_FUSE=off) all four report the raw tape:
-  /// zero spans, zero removed, counted == raw.
-  std::size_t fused_spans() const { return fused_spans_; }
-  std::size_t fused_kernels_removed() const { return fused_kernels_removed_; }
-  std::size_t fused_slots_eliminated() const { return fused_slots_eliminated_; }
-  /// Counted kernels on the tape before / after fusion.  Replay launch
-  /// counters report `counted_kernels()` -- the measured fusion win is the
-  /// gap to `raw_counted_kernels()` (what eager would have launched).
-  std::uint64_t raw_counted_kernels() const { return raw_counted_; }
+  /// Counted kernels on the tape: what the eager step launched, and what
+  /// every replay reports to the launch counters.
   std::uint64_t counted_kernels() const { return counted_; }
 
  private:
@@ -175,10 +166,6 @@ class Program {
   Tensor slab_;
   std::uint64_t fingerprint_ = 0;
   ops::Tier tier_ = ops::Tier::kScalar;
-  std::size_t fused_spans_ = 0;
-  std::size_t fused_kernels_removed_ = 0;
-  std::size_t fused_slots_eliminated_ = 0;
-  std::uint64_t raw_counted_ = 0;
   std::uint64_t counted_ = 0;
   std::mutex run_mu_;  ///< slab exclusivity (leased via ProgramCache)
 };
@@ -225,14 +212,11 @@ class Recorder {
   /// (lifetime + fingerprint metadata; `out` may appear in `ins` for
   /// read-modify-write steps).  `counted` steps contribute to the
   /// kernel-launch counters on replay exactly as their eager kernel did.
-  /// `desc` is the step's semantic tag for the offline fusion stage;
-  /// kernels that omit it record an opaque (never-fused) step.
   void push(const char* op, bool counted, const std::vector<int>& ins,
-            int out, StepFn fn, fuse::StepDesc desc = fuse::StepDesc{});
+            int out, StepFn fn);
   void push(const char* op, bool counted, std::initializer_list<int> ins,
-            int out, StepFn fn, fuse::StepDesc desc = fuse::StepDesc{}) {
-    push(op, counted, std::vector<int>(ins), out, std::move(fn),
-         std::move(desc));
+            int out, StepFn fn) {
+    push(op, counted, std::vector<int>(ins), out, std::move(fn));
   }
   /// Leaf-gradient accumulation hook (ag::backward): dst += src.
   void note_accumulate(const Tensor& dst, const Tensor& src);
@@ -245,15 +229,24 @@ class Recorder {
     bool planned = false;  ///< produced by a recorded step
   };
 
+  /// One recorded step before planning: the closure plus the slots it
+  /// reads and writes (a slot may appear in both for read-modify-write
+  /// steps such as grad accumulation; `out` is -1 for none).
+  struct TapeStep {
+    const char* op = "";
+    bool counted = false;
+    std::vector<int> ins;
+    int out = -1;
+    StepFn fn;
+  };
+
   int slot_for(const Tensor& t, bool as_output);
 
   std::unordered_map<const float*, int> by_ptr_;
   std::vector<SlotInfo> slots_;
   std::vector<Tensor> pinned_;  ///< one per slot, keeps storage alive
-  /// Pre-plan tape: closures plus the dataflow/semantic metadata the
-  /// fusion stage consumes.  Lifetimes are derived in finish(), after
-  /// fusion has (possibly) rewritten the step list.
-  std::vector<fuse::TapeStep> tape_;
+  /// Pre-plan tape; finish() derives slot lifetimes from it.
+  std::vector<TapeStep> tape_;
   std::vector<int> bound_slots_;
   std::vector<index_t> bound_numel_;
   std::vector<const float*> stable_ptrs_;
@@ -305,10 +298,6 @@ class ProgramCache {
     std::uint64_t fallbacks = 0;
     std::uint64_t captures = 0;
     std::uint64_t evictions = 0;
-    /// Fusion outcome aggregated over every program store()d into this
-    /// cache (re-captures count again; eviction does not subtract).
-    std::uint64_t fused_spans = 0;
-    std::uint64_t fused_kernels_removed = 0;
   };
 
   explicit ProgramCache(std::size_t capacity = 8);
@@ -326,8 +315,8 @@ class ProgramCache {
   Stats stats() const;
   std::size_t size() const;       ///< cached programs (not sightings)
   std::size_t capacity() const { return capacity_; }
-  /// Snapshot of every cached program (golden-tape tests inspect fused
-  /// span/kernel counts without knowing the keys).
+  /// Snapshot of every cached program (golden-tape tests inspect kernel
+  /// counts without knowing the keys).
   std::vector<std::shared_ptr<Program>> programs() const;
 
  private:

@@ -4,7 +4,7 @@
 // (ops/vecmath256.hpp) that agree with libm to a couple of ulps but not
 // bitwise.  Each tier is individually deterministic, and the eager kernel
 // and its replay closure run through the same dispatch, so same-tier
-// replay/fusion comparisons still read exactly 0.0.
+// replay comparisons still read exactly 0.0.
 //
 // Layering: fastchg_core cannot see basis/envelope.hpp (fastchg_model), so
 // the polynomial cutoff envelope arrives as a function pointer.  It is

@@ -63,7 +63,6 @@ FASTCHG_EW_UNARY(square)
 FASTCHG_EW_UNARY(recip)
 FASTCHG_EW_UNARY(sqrt)
 FASTCHG_EW_UNARY(sign)
-FASTCHG_EW_UNARY(acc)
 FASTCHG_EW_RANGE(clamp)
 FASTCHG_EW_RANGE(clamp_mask)
 

@@ -3,8 +3,8 @@
 // the exact IEEE-754 single-precision expression of its scalar reference
 // (vaddps/vsubps/vmulps/vdivps/vsqrtps are correctly rounded; axpy is an
 // explicit mul *then* add, never contracted to FMA), so the two tiers are
-// bitwise identical -- the property the pool/replay/fuse 0.0-diff gates
-// ride on.  Tails run the scalar reference loop, which is per-element
+// bitwise identical -- the property the pool/replay 0.0-diff gates ride
+// on.  Tails run the scalar reference loop, which is per-element
 // identical by the same argument.
 //
 // On toolchains that cannot build AVX2 this TU degrades to forwarding
@@ -155,15 +155,6 @@ void clamp_mask(index_t n, const float* a, float lo, float hi, float* o) {
   for (; i < n; ++i) o[i] = (a[i] >= lo && a[i] <= hi) ? 1.0f : 0.0f;
 }
 
-void acc(index_t n, const float* a, float* o) {
-  index_t i = 0;
-  for (; i + kW <= n; i += kW) {
-    _mm256_storeu_ps(
-        o + i, _mm256_add_ps(_mm256_loadu_ps(o + i), _mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) o[i] += a[i];
-}
-
 void axpy(index_t n, float s, const float* a, float* o) {
   // Mul then add, deliberately NOT _mm256_fmadd_ps: the scalar reference
   // (built without FMA in the ISA) rounds the product first, and this op
@@ -303,7 +294,6 @@ void sqrt(index_t n, const float* a, float* o) { scalar::sqrt(n, a, o); }
 void sign(index_t n, const float* a, float* o) { scalar::sign(n, a, o); }
 void clamp(index_t n, const float* a, float lo, float hi, float* o) { scalar::clamp(n, a, lo, hi, o); }
 void clamp_mask(index_t n, const float* a, float lo, float hi, float* o) { scalar::clamp_mask(n, a, lo, hi, o); }
-void acc(index_t n, const float* a, float* o) { scalar::acc(n, a, o); }
 void axpy(index_t n, float s, const float* a, float* o) { scalar::axpy(n, s, a, o); }
 void scale(index_t n, float s, float* o) { scalar::scale(n, s, o); }
 void bcast(BinOp op, Bcast pat, index_t rows, index_t cols, const float* a,

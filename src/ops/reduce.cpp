@@ -33,8 +33,7 @@ void sum_dim1(index_t rows, index_t cols, const float* x, float* o) {
 }  // namespace scalar
 
 double sum_all(index_t n, const float* x) {
-  // Pinned: serial double accumulation is part of the bit-exactness
-  // contract shared with the fused-span interpreter.
+  // Pinned: serial double accumulation at every tier (see reduce.hpp).
   return scalar::sum_all(n, x);
 }
 

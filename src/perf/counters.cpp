@@ -42,8 +42,6 @@ void Counters::reset() {
   replay_misses = 0;
   replay_fallbacks = 0;
   replay_captures = 0;
-  fuse_spans = 0;
-  fuse_kernels_removed = 0;
   // replay_plan_bytes is a gauge of slabs held by live programs (like
   // bytes_live), not a rate: it survives resets untouched.
   // Slabs survive resets by design (they are the warm state pooling exists
@@ -138,13 +136,6 @@ void track_replay_plan_bytes(std::int64_t delta) {
     const auto d = static_cast<std::uint64_t>(-delta);
     c.replay_plan_bytes -= (d <= c.replay_plan_bytes) ? d : c.replay_plan_bytes;
   }
-}
-
-void track_fuse(std::uint64_t spans, std::uint64_t kernels_removed) {
-  std::lock_guard<std::mutex> lock(counters_mutex());
-  Counters& c = counters();
-  c.fuse_spans += spans;
-  c.fuse_kernels_removed += kernels_removed;
 }
 
 void count_event(const char* name, std::uint64_t n) {

@@ -57,11 +57,6 @@ struct Counters {
   std::uint64_t replay_fallbacks = 0;
   std::uint64_t replay_captures = 0;
   std::uint64_t replay_plan_bytes = 0;
-  // Offline fusion accounting (core/fuse.hpp, docs/replay.md): spans fused
-  // and counted kernels removed across every program captured since the
-  // last reset.  Rates, not gauges: reset() zeroes them.
-  std::uint64_t fuse_spans = 0;
-  std::uint64_t fuse_kernels_removed = 0;
   // Per-op-name launch counts (for attribution tables in benches).
   std::map<std::string, std::uint64_t> per_op;
   bool per_op_enabled = false;
@@ -109,8 +104,6 @@ void track_replay_fallback();
 void track_replay_capture();
 /// Program slab acquired (+) at capture / released (-) at destruction.
 void track_replay_plan_bytes(std::int64_t delta);
-/// Fusion stage ran on a captured tape: spans fused, counted kernels gone.
-void track_fuse(std::uint64_t spans, std::uint64_t kernels_removed);
 
 /// Record `n` occurrences of a robustness event (e.g. "serve.fp32_fallback",
 /// "md.dt_halved").  See docs/serving.md for the event vocabulary.

@@ -1,18 +1,26 @@
 // Recorded-step replay (core/replay.hpp + core/memplan.hpp) coverage:
 //
 //   * memory planner: hand-built nested/disjoint lifetime patterns hit the
-//     max-live lower bound exactly, and seeded random lifetime sets always
-//     pass the brute-force plan_valid() checker;
+//     max-live lower bound exactly, and seeded random lifetime sets
+//     (overlapping, nested, zero-length) always pass the brute-force
+//     plan_valid() checker with 64 B-aligned offsets;
 //   * capture: two recordings of the same step produce identical
 //     fingerprints, and a captured program's plan is valid and tracked in
-//     the replay_plan_bytes gauge;
+//     the replay_plan_bytes gauge, which does not drift across
+//     invalidate -> recapture cycles;
 //   * replay: bit-exact (max |diff| == 0.0) against eager for a raw op
-//     sequence, the single-device trainer (weights + Adam state via
+//     sequence, seeded random op chains (gathers, scatters, reductions,
+//     broadcasts, matmuls, unary ops) with a tapped intermediate, every
+//     elementwise op's forward + backward at every broadcast pattern
+//     (replay also reports exactly the eager kernel count), the
+//     single-device trainer (weights + Adam state via
 //     checkpoint byte identity), every data-parallel replica, and the fused
 //     serve forward -- each over >= 10 consecutive steps;
 //   * cache protocol: eager -> capture -> replay warm-up, LRU eviction,
 //     invalidate-and-recapture, bind rejection on shape mismatch or a
 //     replaced stable pointer, and full inertness when replay is disabled;
+//   * golden tapes: exact counted kernels of the trainer, DP-device and
+//     serve programs at a fixed topology;
 //   * fuzz: seeded shape churn and poisoned batches through the serving
 //     engine with replay on -- no crash, no silent NaN, typed errors only,
 //     and replay lookups reconcile with micro-batches + bisections;
@@ -22,6 +30,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
@@ -138,8 +147,21 @@ TEST_F(ReplayTest, PlanNestedLifetimesHitLowerBound) {
 }
 
 TEST_F(ReplayTest, PlanRandomLifetimesAlwaysValid) {
+  // Every plan: no overlap (brute force), 64 B-aligned offsets, and a slab
+  // no smaller than the max-live lower bound.
+  const auto check = [](const std::vector<BufferLife>& lives) {
+    const MemPlan plan = replay::plan_memory(lives);
+    ASSERT_TRUE(replay::plan_valid(plan));
+    for (const BufferLife& b : plan.buffers) {
+      ASSERT_EQ(b.offset % MemPlan::kAlign, 0u);
+    }
+    ASSERT_GE(plan.slab_bytes, plan.lower_bound_bytes);
+  };
+
+  // Arbitrary overlapping intervals.
   std::mt19937_64 rng(20250808u);
   for (int iter = 0; iter < 50; ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
     const int n = 1 + static_cast<int>(rng() % 40);
     std::vector<BufferLife> lives;
     lives.reserve(static_cast<std::size_t>(n));
@@ -150,9 +172,45 @@ TEST_F(ReplayTest, PlanRandomLifetimesAlwaysValid) {
       b.last = b.def + static_cast<int>(rng() % 30);
       lives.push_back(b);
     }
-    const MemPlan plan = replay::plan_memory(lives);
-    EXPECT_TRUE(replay::plan_valid(plan)) << "iter " << iter;
-    EXPECT_GE(plan.slab_bytes, plan.lower_bound_bytes) << "iter " << iter;
+    check(lives);
+  }
+
+  // Mixed patterns, one seed per set (logged on failure): zero-length
+  // lifetimes, intervals nested inside an earlier one, and overlaps; the
+  // empty set is included.
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::uint64_t seed = 0xbeef0000u + static_cast<std::uint64_t>(iter);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 prng(seed);
+    const int n = static_cast<int>(prng() % 60);
+    std::vector<BufferLife> lives;
+    lives.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      BufferLife b;
+      b.bytes = 4 * (1 + prng() % 400);
+      switch (prng() % 4) {
+        case 0:  // zero-length lifetime: def == last
+          b.def = static_cast<int>(prng() % 50);
+          b.last = b.def;
+          break;
+        case 1:  // nested inside a previous interval when one exists
+          if (!lives.empty()) {
+            const BufferLife& outer =
+                lives[static_cast<std::size_t>(prng() % lives.size())];
+            b.def = outer.def + static_cast<int>(prng() % 3);
+            b.last =
+                std::max(b.def, outer.last - static_cast<int>(prng() % 3));
+            break;
+          }
+          [[fallthrough]];
+        default:  // arbitrary overlap
+          b.def = static_cast<int>(prng() % 50);
+          b.last = b.def + static_cast<int>(prng() % 25);
+          break;
+      }
+      lives.push_back(b);
+    }
+    check(lives);
   }
 }
 
@@ -230,6 +288,51 @@ TEST_F(ReplayTest, CapturedPlanIsValidAndGaugeTracksSlab) {
   }
   // Program destroyed: its slab leaves the gauge again.
   EXPECT_EQ(perf::counters().snapshot().replay_plan_bytes, before);
+}
+
+TEST_F(ReplayTest, PlanBytesGaugeDoesNotDriftAcrossInvalidateRecapture) {
+  replay::set_replay_enabled(true);
+  const std::uint64_t base =
+      perf::counters().snapshot().replay_plan_bytes;
+  std::mt19937_64 rng(0x9a6eu);
+  const std::uint64_t key = 0x60'1de'11u;
+  {
+    ProgramCache cache(4);
+    (void)cache.acquire(key);
+    ASSERT_EQ(cache.acquire(key).action, ProgramCache::Action::kCapture);
+    cache.store(key, capture_tiny(random_square(rng, 4),
+                                  random_square(rng, 4)));
+    std::uint64_t with_program = 0;
+    for (int round = 0; round < 3; ++round) {
+      SCOPED_TRACE("round=" + std::to_string(round));
+      std::uint64_t pb = 0;
+      {
+        // Scope the snapshot: a lingering shared_ptr would keep the slab
+        // alive through the invalidate below.
+        const auto programs = cache.programs();
+        ASSERT_EQ(programs.size(), 1u);
+        pb = programs[0]->plan_bytes();
+      }
+      const std::uint64_t now =
+          perf::counters().snapshot().replay_plan_bytes;
+      ASSERT_EQ(now, base + pb);
+      if (round == 0) {
+        with_program = now;
+      } else {
+        ASSERT_EQ(now, with_program) << "gauge drifted across recapture";
+      }
+      // Invalidate: the program (and its slab) must leave the gauge.
+      cache.invalidate(key);
+      ASSERT_EQ(perf::counters().snapshot().replay_plan_bytes, base);
+      // Self-heal: the invalidated sighting counted as the eager pass, so
+      // the very next sighting re-captures.
+      ASSERT_EQ(cache.acquire(key).action, ProgramCache::Action::kCapture);
+      cache.store(key, capture_tiny(random_square(rng, 4),
+                                    random_square(rng, 4)));
+    }
+  }
+  // Cache destroyed: everything returns to baseline.
+  EXPECT_EQ(perf::counters().snapshot().replay_plan_bytes, base);
 }
 
 TEST_F(ReplayTest, BindRejectsShapeMismatchAndArity) {
@@ -350,6 +453,393 @@ TEST_F(ReplayTest, DisabledReplayIsCompletelyInert) {
 }
 
 // ---------------------------------------------------------------------------
+// Op coverage: random chains and every elementwise op, replay vs eager
+// ---------------------------------------------------------------------------
+
+Tensor random_tensor(std::mt19937_64& rng, const Shape& shape, float lo,
+                     float hi) {
+  index_t n = 1;
+  for (index_t d : shape) n *= d;
+  std::vector<float> v(static_cast<std::size_t>(n));
+  std::uniform_real_distribution<float> dist(lo, hi);
+  for (float& f : v) f = dist(rng);
+  return Tensor::from_vector(std::move(v), shape);
+}
+
+/// Bit-level equality: NaNs with identical payloads compare equal, so a
+/// deterministic non-finite excursion in a random chain still matches.
+void expect_bytes_equal(const Tensor& a, const Tensor& b, const char* what) {
+  ASSERT_EQ(a.numel(), b.numel()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        static_cast<std::size_t>(a.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Deterministic random op chain over three leaves: X [N,C] (working set),
+/// T [R,C] (gather table), W [C,C] (matmul operand).  The *structure*
+/// (which ops, which indices) comes from `structure_seed`; the float
+/// payloads come from the leaf tensors, so one structure can be replayed
+/// over many batches.  Returns the tapped tensors (reduction outputs,
+/// scatter results, and the final value).
+struct ChainSpec {
+  std::uint64_t structure_seed = 0;
+  index_t n = 6;
+  index_t c = 5;
+  index_t r = 4;
+  int num_ops = 18;
+};
+
+std::vector<Tensor> eval_chain(const ChainSpec& cs, const Tensor& x,
+                               const Tensor& t, const Tensor& w) {
+  std::mt19937_64 rng(cs.structure_seed);
+  ag::Var vt = ag::ops::constant(t);
+  ag::Var vw = ag::ops::constant(w);
+  std::vector<ag::Var> pool;  // every entry is [N,C]
+  pool.push_back(ag::ops::constant(x));
+  std::vector<Tensor> taps;
+  auto pick = [&]() -> const ag::Var& {
+    return pool[static_cast<std::size_t>(rng() % pool.size())];
+  };
+  for (int k = 0; k < cs.num_ops; ++k) {
+    switch (rng() % 12) {
+      case 0: {  // gather: fresh rows from the table
+        std::vector<index_t> idx(static_cast<std::size_t>(cs.n));
+        for (index_t& v : idx) v = static_cast<index_t>(rng() % cs.r);
+        pool.push_back(ag::ops::index_select0(vt, std::move(idx)));
+        break;
+      }
+      case 1: {  // scatter: accumulate the value into R rows
+        std::vector<index_t> idx(static_cast<std::size_t>(cs.n));
+        for (index_t& v : idx) v = static_cast<index_t>(rng() % cs.r);
+        taps.push_back(
+            ag::ops::index_add0(cs.r, std::move(idx), pick()).value());
+        break;
+      }
+      case 2:  // reductions
+        taps.push_back(ag::ops::sum_all(pick()).value());
+        break;
+      case 3:
+        taps.push_back(
+            ag::ops::sum_dim(pick(), static_cast<index_t>(rng() % 2),
+                             /*keepdim=*/false)
+                .value());
+        break;
+      case 4: {  // binary, same shape
+        const ag::Var& a = pick();
+        const ag::Var& b = pick();
+        switch (rng() % 3) {
+          case 0:
+            pool.push_back(ag::ops::add(a, b));
+            break;
+          case 1:
+            pool.push_back(ag::ops::sub(a, b));
+            break;
+          default:
+            pool.push_back(ag::ops::mul(a, b));
+            break;
+        }
+        break;
+      }
+      case 5: {  // broadcast binary: row / col / scalar operand from a
+                 // reduction of another pool value
+        const ag::Var& a = pick();
+        const ag::Var& b = pick();
+        switch (rng() % 3) {
+          case 0:
+            pool.push_back(
+                ag::ops::mul(a, ag::ops::sum_dim(b, 0, /*keepdim=*/true)));
+            break;
+          case 1:
+            pool.push_back(
+                ag::ops::add(a, ag::ops::sum_dim(b, 1, /*keepdim=*/true)));
+            break;
+          default:
+            pool.push_back(ag::ops::add(a, ag::ops::sum_all(b)));
+            break;
+        }
+        break;
+      }
+      case 6:
+        pool.push_back(ag::ops::matmul(pick(), vw));
+        break;
+      default: {  // elementwise unary (bounded ones keep values tame)
+        const ag::Var& a = pick();
+        switch (rng() % 8) {
+          case 0:
+            pool.push_back(ag::ops::tanh_op(a));
+            break;
+          case 1:
+            pool.push_back(ag::ops::sigmoid(a));
+            break;
+          case 2:
+            pool.push_back(ag::ops::silu(a));
+            break;
+          case 3:
+            pool.push_back(ag::ops::neg(a));
+            break;
+          case 4:
+            pool.push_back(ag::ops::sin_op(a));
+            break;
+          case 5:
+            pool.push_back(ag::ops::mul_scalar(a, 0.5f));
+            break;
+          case 6:
+            pool.push_back(ag::ops::clamp(a, -2.0f, 2.0f));
+            break;
+          default:
+            pool.push_back(ag::ops::square(a));
+            break;
+        }
+        break;
+      }
+    }
+  }
+  taps.push_back(pool.back().value());
+  return taps;
+}
+
+TEST_F(ReplayTest, DifferentialRandomChainsReplayVsEager) {
+  for (std::uint64_t structure = 0; structure < 20; ++structure) {
+    ChainSpec cs;
+    cs.structure_seed = 0xc0ffee00u + structure;
+    SCOPED_TRACE("structure_seed=" + std::to_string(cs.structure_seed));
+    std::mt19937_64 rng(cs.structure_seed * 31 + 1);
+    const Tensor x0 = random_tensor(rng, {cs.n, cs.c}, -1.0f, 1.0f);
+    const Tensor t0 = random_tensor(rng, {cs.r, cs.c}, -1.0f, 1.0f);
+    const Tensor w0 = random_tensor(rng, {cs.c, cs.c}, -1.0f, 1.0f);
+
+    Recorder rec;
+    rec.bind_input(x0);
+    rec.bind_input(t0);
+    rec.bind_input(w0);
+    std::vector<Tensor> taps;
+    {
+      RecorderScope scope(rec);
+      taps = eval_chain(cs, x0, t0, w0);
+    }
+    for (const Tensor& tap : taps) rec.tap(tap);
+    const auto program = rec.finish();
+    EXPECT_TRUE(replay::plan_valid(program->plan()));
+
+    for (int rep = 0; rep < 3; ++rep) {
+      const Tensor x = random_tensor(rng, {cs.n, cs.c}, -1.0f, 1.0f);
+      const Tensor t = random_tensor(rng, {cs.r, cs.c}, -1.0f, 1.0f);
+      const Tensor w = random_tensor(rng, {cs.c, cs.c}, -1.0f, 1.0f);
+      ASSERT_TRUE(program->bind({x, t, w}, {}));
+      program->run();
+      const std::vector<Tensor> eager = eval_chain(cs, x, t, w);
+      ASSERT_EQ(program->tap_count(), eager.size());
+      for (std::size_t i = 0; i < eager.size(); ++i) {
+        expect_bytes_equal(program->tap_value(i), eager[i], "replay vs eager");
+      }
+    }
+  }
+}
+
+TEST_F(ReplayTest, TappedIntermediateKeepsItsValue) {
+  // Tap the middle of an elementwise chain whose later steps could reuse
+  // its bytes: the tap pins the slot, so it still holds the mid value.
+  std::mt19937_64 rng(99u);
+  auto step = [](const Tensor& x, Tensor* mid) {
+    ag::Var a = ag::ops::tanh_op(ag::ops::constant(x));
+    *mid = a.value();
+    ag::Var b = ag::ops::square(a);
+    ag::Var c = ag::ops::sigmoid(b);
+    return ag::ops::mul_scalar(c, 0.25f).value();
+  };
+  const Tensor x0 = random_tensor(rng, {8, 3}, -1.0f, 1.0f);
+  Recorder rec;
+  rec.bind_input(x0);
+  Tensor mid, out;
+  {
+    RecorderScope scope(rec);
+    out = step(x0, &mid);
+  }
+  rec.tap(mid);
+  rec.tap(out);
+  const auto program = rec.finish();
+  for (int rep = 0; rep < 3; ++rep) {
+    const Tensor x = random_tensor(rng, {8, 3}, -1.0f, 1.0f);
+    ASSERT_TRUE(program->bind({x}, {}));
+    program->run();
+    Tensor want_mid;
+    const Tensor want_out = step(x, &want_mid);
+    expect_bytes_equal(program->tap_value(0), want_mid, "tapped mid");
+    expect_bytes_equal(program->tap_value(1), want_out, "final");
+  }
+}
+
+/// One elementwise op: `f(x, y)` builds its forward ([N,C] result) from
+/// leaf x [N,C] and, for binary ops, leaf y.  Inputs are drawn from
+/// (0.1, 0.9), inside the domain of every op (log, sqrt, acos, pow,
+/// reciprocal, div).
+struct EltwiseCase {
+  const char* name;
+  bool binary;
+  ag::Var (*f)(const ag::Var& x, const ag::Var& y);
+};
+
+constexpr index_t kOpRows = 7;
+constexpr index_t kOpCols = 13;
+
+const EltwiseCase kEltwiseCases[] = {
+    {"add", true, [](const ag::Var& x, const ag::Var& y) {
+       return ag::ops::add(ag::ops::add(x, y), ag::ops::add(y, x));
+     }},
+    {"sub", true, [](const ag::Var& x, const ag::Var& y) {
+       return ag::ops::add(ag::ops::sub(x, y), ag::ops::sub(y, x));
+     }},
+    {"mul", true, [](const ag::Var& x, const ag::Var& y) {
+       return ag::ops::add(ag::ops::mul(x, y), ag::ops::mul(y, x));
+     }},
+    {"div", true, [](const ag::Var& x, const ag::Var& y) {
+       return ag::ops::add(ag::ops::div(x, y), ag::ops::div(y, x));
+     }},
+    {"add_scalar", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::add_scalar(x, 0.75f);
+     }},
+    {"mul_scalar", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::mul_scalar(x, -1.25f);
+     }},
+    {"pow_scalar", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::pow_scalar(x, 1.5f);
+     }},
+    {"neg", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::neg(x);
+     }},
+    {"exp", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::exp_op(x);
+     }},
+    {"log", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::log_op(x);
+     }},
+    {"sqrt", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::sqrt_op(x);
+     }},
+    {"sin", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::sin_op(x);
+     }},
+    {"cos", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::cos_op(x);
+     }},
+    {"acos", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::acos_op(x);
+     }},
+    {"tanh", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::tanh_op(x);
+     }},
+    {"sigmoid", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::sigmoid(x);
+     }},
+    {"silu", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::silu(x);
+     }},
+    {"abs", false, [](const ag::Var& x, const ag::Var&) {
+       // Shift so both signs occur and abs/sign do real work.
+       return ag::ops::abs_op(ag::ops::add_scalar(x, -0.5f));
+     }},
+    {"reciprocal", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::reciprocal(x);
+     }},
+    {"square", false, [](const ag::Var& x, const ag::Var&) {
+       return ag::ops::square(x);
+     }},
+    {"clamp", false, [](const ag::Var& x, const ag::Var&) {
+       // Bounds inside the input range: both the clamped and the
+       // pass-through branches of value and mask occur.
+       return ag::ops::clamp(x, 0.3f, 0.7f);
+     }},
+};
+
+void PrintTo(const EltwiseCase& c, std::ostream* os) { *os << c.name; }
+
+class ReplayEltwiseOp : public ::testing::TestWithParam<EltwiseCase> {};
+
+/// Forward value and input gradients of one op under the upstream gradient
+/// `g`, all as tensors (an input the op does not read contributes none).
+std::vector<Tensor> eltwise_step(const EltwiseCase& c, const Tensor& xt,
+                                 const Tensor& yt, const Tensor& gt) {
+  ag::Var x(xt, /*requires_grad=*/true);
+  ag::Var y(yt, /*requires_grad=*/true);
+  ag::Var out = c.f(x, y);
+  std::vector<ag::Var> inputs = {x};
+  if (c.binary) inputs.push_back(y);
+  const std::vector<ag::Var> grads =
+      ag::grad(out, inputs, ag::ops::constant(gt));
+  std::vector<Tensor> result = {out.value()};
+  for (const ag::Var& gv : grads) result.push_back(gv.value());
+  return result;
+}
+
+TEST_P(ReplayEltwiseOp, ForwardAndBackwardBitExactVsEager) {
+  // Each op runs the same kernel call eagerly and from its recorded
+  // closure: replaying the captured forward + backward over fresh inputs
+  // must reproduce eager bytes exactly, and report exactly the kernels the
+  // eager step launched.  Binary ops cover every broadcast pattern (y as
+  // the same shape, a row, a column or a scalar, on either side).
+  const EltwiseCase& c = GetParam();
+  const Shape full = {kOpRows, kOpCols};
+  std::vector<Shape> y_shapes = {full};
+  if (c.binary) {
+    y_shapes.push_back({kOpCols});
+    y_shapes.push_back({1, kOpCols});
+    y_shapes.push_back({kOpRows, 1});
+    y_shapes.push_back({1});
+  }
+  std::mt19937_64 rng(0x0e1700u);
+  for (const Shape& ys : y_shapes) {
+    std::string shape_name = "y shape [";
+    for (index_t d : ys) {
+      shape_name += ' ';
+      shape_name += std::to_string(d);
+    }
+    SCOPED_TRACE(shape_name + " ]");
+    const Tensor x0 = random_tensor(rng, full, 0.1f, 0.9f);
+    const Tensor y0 = random_tensor(rng, ys, 0.1f, 0.9f);
+    const Tensor g0 = random_tensor(rng, full, -1.0f, 1.0f);
+
+    Recorder rec;
+    rec.bind_input(x0);
+    rec.bind_input(y0);
+    rec.bind_input(g0);
+    perf::reset_kernels();
+    std::vector<Tensor> taps;
+    {
+      RecorderScope scope(rec);
+      taps = eltwise_step(c, x0, y0, g0);
+    }
+    const std::uint64_t eager_kernels = perf::counters().kernel_launches;
+    for (const Tensor& t : taps) rec.tap(t);
+    const auto program = rec.finish();
+    EXPECT_TRUE(replay::plan_valid(program->plan()));
+    EXPECT_EQ(program->counted_kernels(), eager_kernels);
+
+    for (int rep = 0; rep < 3; ++rep) {
+      const Tensor x = random_tensor(rng, full, 0.1f, 0.9f);
+      const Tensor y = random_tensor(rng, ys, 0.1f, 0.9f);
+      const Tensor g = random_tensor(rng, full, -1.0f, 1.0f);
+      ASSERT_TRUE(program->bind({x, y, g}, {}));
+      perf::reset_kernels();
+      program->run();
+      EXPECT_EQ(perf::counters().kernel_launches, eager_kernels);
+      const std::vector<Tensor> eager = eltwise_step(c, x, y, g);
+      ASSERT_EQ(program->tap_count(), eager.size());
+      for (std::size_t i = 0; i < eager.size(); ++i) {
+        expect_bytes_equal(program->tap_value(i), eager[i],
+                           i == 0 ? "forward" : "gradient");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryOp, ReplayEltwiseOp, ::testing::ValuesIn(kEltwiseCases),
+    [](const ::testing::TestParamInfo<EltwiseCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
 // Trainer integration: bit-exactness over >= 10 consecutive steps
 // ---------------------------------------------------------------------------
 
@@ -357,6 +847,7 @@ struct TrainRun {
   std::vector<float> params;
   std::vector<train::EpochStats> history;
   ProgramCache::Stats replay_stats;
+  std::vector<std::shared_ptr<Program>> programs;
   std::string checkpoint;
 };
 
@@ -372,6 +863,7 @@ TrainRun train_with_replay(bool replay_on, const std::string& ckpt_path) {
   run.history = trainer.fit(ds, all_rows(ds));
   run.params = flatten_parameters(net);
   run.replay_stats = trainer.replay_cache().stats();
+  run.programs = trainer.replay_cache().programs();
   trainer.save_checkpoint(ckpt_path);
   run.checkpoint = ckpt_path;
   return run;
@@ -563,6 +1055,56 @@ TEST_F(ReplayTest, ServeReplayOffMatchesOnExactly) {
   const std::vector<double> off = run_engine(false);
   ASSERT_EQ(on.size(), off.size());
   for (std::size_t i = 0; i < on.size(); ++i) EXPECT_EQ(on[i], off[i]) << i;
+}
+
+// ---------------------------------------------------------------------------
+// Golden tapes: exact counted kernels of the trainer, DP-device and serve
+// programs at the fixed topologies above (identical_rows + tiny_config).
+// They change only when the model's op schedule changes -- update them
+// deliberately, with the perf numbers in hand.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kGoldenTrainerKernels = 3623;
+constexpr std::uint64_t kGoldenDpDeviceKernels = 2521;
+constexpr std::uint64_t kGoldenServeKernels = 1233;
+
+TEST_F(ReplayTest, GoldenTrainerTapeCounts) {
+  const TrainRun run =
+      train_with_replay(true, ::testing::TempDir() + "replay_golden.ckpt");
+  ASSERT_EQ(run.programs.size(), 1u);
+  EXPECT_EQ(run.programs[0]->counted_kernels(), kGoldenTrainerKernels);
+}
+
+TEST_F(ReplayTest, GoldenDataParallelTapeCounts) {
+  replay::set_replay_enabled(true);
+  data::Dataset ds = identical_rows(16, 71);
+  parallel::DataParallelConfig cfg;
+  cfg.num_devices = 2;
+  cfg.global_batch = 4;
+  parallel::DataParallelTrainer dp(tiny_config(), cfg, 17);
+  for (index_t e = 0; e < 3; ++e) dp.train_epoch(ds, all_rows(ds), e);
+  const auto programs = dp.replay_cache(0).programs();
+  ASSERT_EQ(programs.size(), 1u);
+  EXPECT_EQ(programs[0]->counted_kernels(), kGoldenDpDeviceKernels);
+}
+
+TEST_F(ReplayTest, GoldenServeTapeCounts) {
+  replay::set_replay_enabled(true);
+  data::Dataset ds = identical_rows(4, 81);
+  model::CHGNet net(tiny_config(), 12);
+  serve::EngineConfig cfg;
+  cfg.max_batch = 4;
+  cfg.cache_capacity = 0;
+  serve::InferenceEngine engine(net, cfg);
+  for (int tick = 0; tick < 4; ++tick) {
+    for (index_t i = 0; i < ds.size(); ++i) {
+      ASSERT_TRUE(engine.submit(ds[i].crystal).ok());
+    }
+    (void)engine.drain();
+  }
+  const auto programs = engine.replay_cache().programs();
+  ASSERT_EQ(programs.size(), 1u);
+  EXPECT_EQ(programs[0]->counted_kernels(), kGoldenServeKernels);
 }
 
 // ---------------------------------------------------------------------------
